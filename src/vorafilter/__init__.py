@@ -21,6 +21,7 @@ from .calculus import (
     make_basis,
 )
 from .errors import (
+    AsymmetricHessian,
     BadBasisSpec,
     DuplicateWavelength,
     GridMismatch,
@@ -43,15 +44,6 @@ from .optimize import (
     optimize,
     project_to_box,
 )
-from .projectors import (
-    OrthonormalBasis,
-    ProjectorMatrix,
-    diag_of,
-    ediag,
-    hadamard,
-    orthonormalize,
-    projector,
-)
 from .spectral import (
     DEFAULT_GRID,
     FilterSpectrum,
@@ -72,6 +64,7 @@ from .vora import VoraValue, filtered_vora_value, regularized_objective, vora_va
 __version__ = "0.1.0"
 
 __all__ = [
+    "AsymmetricHessian",
     "BadBasisSpec",
     "BasisSet",
     "DEFAULT_GRID",
@@ -87,8 +80,6 @@ __all__ = [
     "NonPositiveFilter",
     "OptimizationReport",
     "OptimizerConfig",
-    "OrthonormalBasis",
-    "ProjectorMatrix",
     "RankDeficient",
     "SensorSet",
     "ShapeMismatch",
@@ -99,8 +90,6 @@ __all__ = [
     "VoraFilterError",
     "VoraValue",
     "WavelengthGrid",
-    "diag_of",
-    "ediag",
     "fd_gradient",
     "fd_hessian",
     "filtered_vora_value",
@@ -108,7 +97,6 @@ __all__ = [
     "gaussian_camera",
     "gradient",
     "gradient_in_basis",
-    "hadamard",
     "hessian",
     "hessian_in_basis",
     "load_filter_spectrum",
@@ -117,10 +105,8 @@ __all__ = [
     "newton_step",
     "numerical_rank",
     "optimize",
-    "orthonormalize",
     "parse_spectral_csv",
     "project_to_box",
-    "projector",
     "regularized_objective",
     "resample_to_grid",
     "vora_value",

@@ -13,7 +13,10 @@ Writing ``A = P{X}``, ``B = P{FQ}`` and ``C = F^-1``, the closed forms are
 
 with ``o`` the elementwise product. The Hessian expression is already
 symmetric in exact arithmetic; assembly asymmetry beyond round-off is
-treated as a hard error rather than silently averaged away.
+treated as a hard error (:class:`AsymmetricHessian`) rather than silently
+averaged away. Every derivative, here and in the optimizer, goes through
+one private kernel that builds ``A`` once per (camera, observer) pair and
+``B`` once per filter.
 
 Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`) are
 provided so every closed form can be verified independently; they are the
@@ -28,10 +31,10 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadBasisSpec, NonPositiveFilter, StepTooLarge
+from .errors import AsymmetricHessian, BadBasisSpec, NonPositiveFilter, StepTooLarge
 from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
 from .spectral import FilterSpectrum, SensorSet, WavelengthGrid, numerical_rank
-from .vora import _require_same_grid
+from .vora import _require_same_grid, _vora_of_bases
 
 # Assembly asymmetry above this is a bug in the closed form, not round-off.
 HESSIAN_ASYMMETRY_TOL = 1e-9
@@ -148,19 +151,6 @@ def _diag_of_product(m: NDArray[np.float64],
     return np.einsum("ij,ji->i", m, n)
 
 
-def _filtered_projector(camera_responses: NDArray[np.float64],
-                        f: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Positive f times rank-3 responses is rank 3 by construction.
-    w = _orthonormal_columns_unchecked(f[:, None] * camera_responses)
-    return w @ w.T
-
-
-def _vora_gradient_core(b: NDArray[np.float64], a: NDArray[np.float64],
-                        f: NDArray[np.float64]) -> NDArray[np.float64]:
-    ab = a @ b
-    return (2.0 / 3.0) * (_diag_of_product(b, a) - _diag_of_product(b, ab)) / f
-
-
 def _vora_hessian_raw(b: NDArray[np.float64], a: NDArray[np.float64],
                       f: NDArray[np.float64]) -> NDArray[np.float64]:
     """Unsymmetrized Hessian assembly (symmetric up to round-off)."""
@@ -176,9 +166,61 @@ def _vora_hessian_raw(b: NDArray[np.float64], a: NDArray[np.float64],
     return h
 
 
-def _observer_projector(observer: SensorSet) -> NDArray[np.float64]:
-    v = orthonormal_columns(observer.responses)
-    return v @ v.T
+class _Kernel:
+    """The closed forms for one (camera, observer) pair.
+
+    The observer basis ``V`` and projector ``A = P{X}`` are built once; each
+    filter then costs one QR of ``diag(f) Q``, whose projector ``B`` the
+    gradient and Hessian share.
+    """
+
+    def __init__(self, camera: SensorSet, observer: SensorSet,
+                 *grids: WavelengthGrid) -> None:
+        _require_same_grid(camera.grid, observer.grid, *grids)
+        self.q = camera.responses
+        self.v = orthonormal_columns(observer.responses)
+        self.a = self.v @ self.v.T
+
+    def _filtered_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
+        # Positive f times rank-3 responses is rank 3 by construction.
+        return _orthonormal_columns_unchecked(f[:, None] * self.q)
+
+    def value(self, f: NDArray[np.float64]) -> float:
+        return _vora_of_bases(self._filtered_basis(f), self.v)
+
+    def projector(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
+        w = self._filtered_basis(f)
+        return w @ w.T
+
+    def gradient(self, b: NDArray[np.float64],
+                 f: NDArray[np.float64]) -> NDArray[np.float64]:
+        ab = self.a @ b
+        return (2.0 / 3.0) * (_diag_of_product(b, self.a) - _diag_of_product(b, ab)) / f
+
+    def hessian(self, b: NDArray[np.float64], f: NDArray[np.float64],
+                alpha: float) -> NDArray[np.float64]:
+        """Symmetrized Hessian plus ``alpha * I``; raises on assembly asymmetry."""
+        raw = _vora_hessian_raw(b, self.a, f)
+        asym = float(np.max(np.abs(raw - raw.T)))
+        if asym > HESSIAN_ASYMMETRY_TOL:
+            raise AsymmetricHessian(
+                f"hessian assembly asymmetry {asym:.3e} exceeds {HESSIAN_ASYMMETRY_TOL:g}"
+            )
+        h = 0.5 * (raw + raw.T)
+        if alpha:
+            h[np.diag_indices_from(h)] += alpha
+        return h
+
+
+def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The filter ``f = B c``, which must be strictly positive."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    if c.shape != (basis.size,):
+        raise ValueError(f"coeffs must have length {basis.size}, got {c.shape}")
+    f = basis.basis @ c
+    if np.any(f <= 0.0):
+        raise NonPositiveFilter("basis combination has nonpositive transmittance")
+    return f
 
 
 def _as_filter_values(filt: FilterSpectrum | NDArray[np.float64]) -> NDArray[np.float64]:
@@ -193,26 +235,17 @@ def _as_filter_values(filt: FilterSpectrum | NDArray[np.float64]) -> NDArray[np.
 def gradient(camera: SensorSet, observer: SensorSet,
              filt: FilterSpectrum) -> GradientVector:
     """Analytic gradient of the filtered Vora-Value at ``filt``."""
-    _require_same_grid(camera.grid, observer.grid, filt.grid)
+    kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    a = _observer_projector(observer)
-    b = _filtered_projector(camera.responses, f)
-    return GradientVector(grid=filt.grid, values=_vora_gradient_core(b, a, f))
+    return GradientVector(grid=filt.grid, values=kernel.gradient(kernel.projector(f), f))
 
 
 def gradient_in_basis(camera: SensorSet, observer: SensorSet,
                       basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
-    _require_same_grid(camera.grid, observer.grid, basis.grid)
-    c = np.asarray(coeffs, dtype=np.float64)
-    if c.shape != (basis.size,):
-        raise ValueError(f"coeffs must have length {basis.size}, got {c.shape}")
-    f = basis.basis @ c
-    if np.any(f <= 0.0):
-        raise NonPositiveFilter("basis combination has nonpositive transmittance")
-    a = _observer_projector(observer)
-    b = _filtered_projector(camera.responses, f)
-    return basis.basis.T @ _vora_gradient_core(b, a, f)
+    kernel = _Kernel(camera, observer, basis.grid)
+    f = _basis_filter(basis, coeffs)
+    return basis.basis.T @ kernel.gradient(kernel.projector(f), f)
 
 
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -221,24 +254,14 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
 
     With ``alpha = 0`` this is the plain second derivative; a positive
     ``alpha`` gives the regularized-objective Hessian used by the Newton
-    optimizer.
+    optimizer. Raises :class:`AsymmetricHessian` if the assembled matrix is
+    asymmetric beyond round-off.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    _require_same_grid(camera.grid, observer.grid, filt.grid)
+    kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    a = _observer_projector(observer)
-    b = _filtered_projector(camera.responses, f)
-    raw = _vora_hessian_raw(b, a, f)
-    asym = float(np.max(np.abs(raw - raw.T)))
-    if asym > HESSIAN_ASYMMETRY_TOL:
-        raise ArithmeticError(
-            f"hessian assembly asymmetry {asym:.3e} exceeds {HESSIAN_ASYMMETRY_TOL:g}"
-        )
-    sym = 0.5 * (raw + raw.T)
-    if alpha:
-        sym[np.diag_indices_from(sym)] += alpha
-    return HessianMatrix(matrix=sym)
+    return HessianMatrix(matrix=kernel.hessian(kernel.projector(f), f, alpha))
 
 
 def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
@@ -246,18 +269,9 @@ def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
     """Hessian w.r.t. basis coefficients: ``B^T (H + alpha I) B``."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    _require_same_grid(camera.grid, observer.grid, basis.grid)
-    c = np.asarray(coeffs, dtype=np.float64)
-    f = basis.basis @ c
-    if np.any(f <= 0.0):
-        raise NonPositiveFilter("basis combination has nonpositive transmittance")
-    a = _observer_projector(observer)
-    b = _filtered_projector(camera.responses, f)
-    raw = _vora_hessian_raw(b, a, f)
-    h = 0.5 * (raw + raw.T)
-    if alpha:
-        h[np.diag_indices_from(h)] += alpha
-    return basis.basis.T @ h @ basis.basis
+    kernel = _Kernel(camera, observer, basis.grid)
+    f = _basis_filter(basis, coeffs)
+    return basis.basis.T @ kernel.hessian(kernel.projector(f), f, alpha) @ basis.basis
 
 
 def fd_gradient(objective: Callable[[NDArray[np.float64]], float],

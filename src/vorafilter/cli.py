@@ -8,7 +8,8 @@ check     verify the analytic calculus against finite differences and the
           structural identities on random filters
 
 Exit codes: 0 success, 2 input error, 3 optimization stalled, 4 verification
-failure. Outputs are pure functions of (input files, flags, seed); re-running
+failure, 5 asymmetric Hessian assembly (a numerical bug, not bad input).
+Outputs are pure functions of (input files, flags, seed); re-running
 a command reproduces its CSV/JSON output byte for byte.
 """
 
@@ -31,16 +32,16 @@ from .calculus import (
     hessian,
     make_basis,
 )
-from .errors import NoAscent, VoraFilterError
+from .errors import AsymmetricHessian, NoAscent, VoraFilterError
 from .optimize import OptimizerConfig, newton_step, optimize
 from .spectral import (
     DEFAULT_GRID,
     FilterSpectrum,
     SensorSet,
     WavelengthGrid,
-    format_spectral_csv,
     parse_spectral_csv,
     resample_to_grid,
+    write_filter_csv,
 )
 from .vora import filtered_vora_value, vora_value
 
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_STALLED = 3
 EXIT_VERIFY = 4
+EXIT_ASYMMETRY = 5
 
 SCHEMA_VERSION = "1"
 DATA_ENV_VAR = "VORA_FILTER_DATA"
@@ -264,10 +266,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     report = optimize(camera, observer, config, initial_filter=initial)
 
     if args.out_filter:
-        with open(args.out_filter, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_spectral_csv(grid.wavelengths,
-                                         report.final_filter.transmittance,
-                                         ("transmittance",)))
+        write_filter_csv(args.out_filter, report.final_filter)
     if args.out_trace:
         with open(args.out_trace, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_trace_csv(report))
@@ -391,11 +390,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "optimize":
             return _cmd_optimize(args)
         return _cmd_check(args)
-    except NoAscent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STALLED
     except (VoraFilterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NoAscent):
+            return EXIT_STALLED
+        if isinstance(exc, AsymmetricHessian):
+            return EXIT_ASYMMETRY
         return EXIT_INPUT
 
 

@@ -56,5 +56,9 @@ class SingularSystem(VoraFilterError):
     """The regularized Newton system could not be solved."""
 
 
+class AsymmetricHessian(VoraFilterError, ArithmeticError):
+    """Hessian assembly is asymmetric beyond round-off: a bug, not bad input."""
+
+
 class NoAscent(VoraFilterError):
     """The very first line search failed to find any improving step."""

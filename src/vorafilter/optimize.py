@@ -19,14 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .calculus import (
-    BasisSet,
-    _filtered_projector,
-    _vora_gradient_core,
-    _vora_hessian_raw,
-)
+from .calculus import BasisSet, _Kernel
 from .errors import NoAscent, NonPositiveFilter, SingularSystem
-from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
+# Not called here: bench/run.py traces QR calls through this module's name.
+from .projectors import orthonormal_columns  # noqa: F401
 from .spectral import FilterSpectrum, SensorSet
 from .vora import _require_same_grid
 
@@ -35,6 +31,9 @@ _INITS = ("ones", "random")
 
 # Tolerance for deciding a component sits on a box bound.
 _BOUND_EPS = 1e-12
+# Backtracking line search: step factor per trial, and trials per search.
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,6 @@ class OptimizerConfig:
     init: str = "ones"
     seed: int = 0
     basis: BasisSet | None = None
-    shrink: float = 0.5
-    max_backtracks: int = 50
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -67,10 +64,6 @@ class OptimizerConfig:
             raise ValueError("newton method requires alpha > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must be in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
         if self.tol_obj < 0 or self.tol_grad < 0:
             raise ValueError("tolerances must be nonnegative")
 
@@ -120,17 +113,12 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive for a Newton step")
-    _require_same_grid(camera.grid, observer.grid, filt.grid)
+    kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    v = orthonormal_columns(observer.responses)
-    a = v @ v.T
-    b = _filtered_projector(camera.responses, f)
-    g = _vora_gradient_core(b, a, f)
-    raw = _vora_hessian_raw(b, a, f)
-    h = 0.5 * (raw + raw.T)
-    h[np.diag_indices_from(h)] += alpha
+    b = kernel.projector(f)
+    g = kernel.gradient(b, f)
     try:
-        return np.linalg.solve(h, -(g + alpha * f))
+        return np.linalg.solve(kernel.hessian(b, f, alpha), -(g + alpha * f))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 
@@ -141,14 +129,10 @@ class _RunState:
     def __init__(self, camera: SensorSet, observer: SensorSet,
                  config: OptimizerConfig,
                  initial_filter: FilterSpectrum | None) -> None:
-        _require_same_grid(camera.grid, observer.grid)
-        if config.basis is not None:
-            _require_same_grid(camera.grid, config.basis.grid)
+        grids = () if config.basis is None else (config.basis.grid,)
+        self.kernel = _Kernel(camera, observer, *grids)
         self.config = config
         self.grid = camera.grid
-        self.q = camera.responses
-        self.v = orthonormal_columns(observer.responses)
-        self.a = self.v @ self.v.T
         self.basis = config.basis.basis if config.basis is not None else None
         self.coeffs: NDArray[np.float64] | None = None
         f0 = self._initial_values(initial_filter)
@@ -157,7 +141,7 @@ class _RunState:
             self.coeffs, self.f = self._feasible_coeffs(fit)
         else:
             self.f = self._gauge_full(f0)
-        self.value = self.vora(self.f)
+        self.value = self.kernel.value(self.f)
 
     def _initial_values(self, initial_filter: FilterSpectrum | None) -> NDArray[np.float64]:
         cfg = self.config
@@ -219,17 +203,13 @@ class _RunState:
 
     # -- objective and derivatives ---------------------------------------
 
-    def vora(self, f: NDArray[np.float64]) -> float:
-        w = _orthonormal_columns_unchecked(f[:, None] * self.q)
-        return float(np.sum((w.T @ self.v) ** 2) / 3.0)
-
     def mu(self, f: NDArray[np.float64]) -> float:
-        return self.vora(f) + 0.5 * self.config.alpha * float(f @ f)
+        return self.kernel.value(f) + 0.5 * self.config.alpha * float(f @ f)
 
     def derivatives(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
         """Filtered projector, gradient, and box-projected gradient at self.f."""
-        b = _filtered_projector(self.q, self.f)
-        g = _vora_gradient_core(b, self.a, self.f)
+        b = self.kernel.projector(self.f)
+        g = self.kernel.gradient(b, self.f)
         cfg = self.config
         gp = g.copy()
         gp[(self.f >= cfg.tau_max - _BOUND_EPS) & (g > 0)] = 0.0
@@ -245,9 +225,7 @@ class _RunState:
         in the solve.
         """
         cfg = self.config
-        raw = _vora_hessian_raw(b, self.a, self.f)
-        h = 0.5 * (raw + raw.T)
-        h[np.diag_indices_from(h)] += cfg.alpha
+        h = self.kernel.hessian(b, self.f, cfg.alpha)
         rhs = -(g + cfg.alpha * self.f)
         if self.basis is not None:
             hb = self.basis.T @ h @ self.basis
@@ -275,27 +253,26 @@ class _RunState:
 
         Returns (new_f, new_coeffs, value, step_len, backtracks) or None.
         """
-        cfg = self.config
         d_norm = float(np.linalg.norm(direction))
         if d_norm == 0.0 or not np.isfinite(d_norm):
             return None
         t = 1.0
-        for bt in range(cfg.max_backtracks):
+        for bt in range(_MAX_BACKTRACKS):
             if self.basis is not None:
                 gauged = self._gauge_coeffs(self.coeffs + t * direction)
                 if gauged is not None:
                     c_t, f_t = gauged
-                    v_t = self.vora(f_t)
+                    v_t = self.kernel.value(f_t)
                     if v_t > self.value:
                         return f_t, c_t, v_t, t * d_norm, bt
             else:
                 f_t = self.f + t * direction
                 if f_t.max() > 0.0:
                     f_t = self._gauge_full(f_t)
-                    v_t = self.vora(f_t)
+                    v_t = self.kernel.value(f_t)
                     if v_t > self.value:
                         return f_t, None, v_t, t * d_norm, bt
-            t *= cfg.shrink
+            t *= _SHRINK
         return None
 
 

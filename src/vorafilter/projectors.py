@@ -1,4 +1,4 @@
-"""Orthonormalization and projector-matrix construction.
+"""Orthonormal bases of sensor column spaces.
 
 Projectors onto sensor column spaces are the workhorse of every objective
 evaluation here. They are always built from an orthonormal factorization
@@ -10,18 +10,11 @@ that is nearly opaque at some wavelengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import RankDeficient, ShapeMismatch
-from .spectral import SensorSet, WavelengthGrid, numerical_rank
-
-# Construction-time validation bounds for projector matrices.
-SYMMETRY_TOL = 1e-12
-IDEMPOTENCY_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-12
+from .spectral import numerical_rank
 
 
 def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -43,86 +36,7 @@ def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _orthonormal_columns_unchecked(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """QR basis without the rank guard, for hot paths whose inputs are
-    full rank by construction (positive filter times rank-3 sensors)."""
+    """QR basis without the rank guard, for inputs that are full rank by
+    construction (rank-checked sensors, or a positive filter times them)."""
     q, _ = np.linalg.qr(matrix)
     return q
-
-
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
-    """n-by-3 matrix with orthonormal columns spanning a sensor space."""
-
-    grid: WavelengthGrid
-    basis: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.basis, dtype=np.float64, copy=True)
-        if arr.shape != (self.grid.count, 3):
-            raise ValueError(f"basis must be {self.grid.count}x3, got {arr.shape}")
-        gram = arr.T @ arr
-        if np.max(np.abs(gram - np.eye(3))) > ORTHONORMALITY_TOL:
-            raise ValueError("basis columns are not orthonormal")
-        arr.setflags(write=False)
-        object.__setattr__(self, "basis", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectorMatrix:
-    """Symmetric idempotent matrix projecting onto a sensor column space."""
-
-    matrix: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"projector must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("projector must be finite")
-        if np.max(np.abs(arr - arr.T)) > SYMMETRY_TOL:
-            raise ValueError("projector is not symmetric")
-        if np.max(np.abs(arr @ arr - arr)) > IDEMPOTENCY_TOL:
-            raise ValueError("projector is not idempotent")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
-def orthonormalize(sensors: SensorSet) -> OrthonormalBasis:
-    """Orthonormal basis spanning the same space as the sensor columns."""
-    return OrthonormalBasis(grid=sensors.grid,
-                            basis=orthonormal_columns(sensors.responses))
-
-
-def projector(matrix: NDArray[np.float64]) -> ProjectorMatrix:
-    """Projector onto the column space of a full-column-rank n x k matrix."""
-    q = orthonormal_columns(matrix)
-    return ProjectorMatrix(matrix=q @ q.T)
-
-
-def ediag(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Extract the diagonal of a square matrix into a vector."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"ediag needs a square matrix, got {m.shape}")
-    return np.diagonal(m).copy()
-
-
-def diag_of(vector: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Embed a vector as a diagonal matrix; inverse of :func:`ediag`."""
-    v = np.asarray(vector)
-    if v.ndim != 1:
-        raise ShapeMismatch(f"diag_of needs a vector, got shape {v.shape}")
-    return np.diag(v)
-
-
-def hadamard(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Elementwise (Hadamard) product of two same-shape matrices."""
-    x = np.asarray(a)
-    y = np.asarray(b)
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"hadamard shapes differ: {x.shape} vs {y.shape}")
-    return x * y

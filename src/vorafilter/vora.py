@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import GridMismatch
-from .projectors import orthonormal_columns
+from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
 from .spectral import FilterSpectrum, SensorSet
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
@@ -59,17 +59,17 @@ def _require_same_grid(*grids) -> None:
             raise GridMismatch(f"wavelength grids differ: {g} vs {first}")
 
 
-def _vora_of_matrices(camera_like: NDArray[np.float64],
-                      observer_like: NDArray[np.float64]) -> float:
-    w = orthonormal_columns(camera_like)
-    v = orthonormal_columns(observer_like)
+def _vora_of_bases(w: NDArray[np.float64], v: NDArray[np.float64]) -> float:
+    """Value from orthonormal bases of the camera-like and observer spaces."""
     return float(np.sum((w.T @ v) ** 2) / 3.0)
 
 
 def vora_value(camera: SensorSet, observer: SensorSet) -> VoraValue:
     """Similarity of the camera and observer sensor spaces, in [0, 1]."""
     _require_same_grid(camera.grid, observer.grid)
-    return VoraValue(_vora_of_matrices(camera.responses, observer.responses))
+    # SensorSet rank-checks its read-only responses on construction.
+    return VoraValue(_vora_of_bases(_orthonormal_columns_unchecked(camera.responses),
+                                    _orthonormal_columns_unchecked(observer.responses)))
 
 
 def filtered_vora_value(camera: SensorSet, observer: SensorSet,
@@ -78,11 +78,12 @@ def filtered_vora_value(camera: SensorSet, observer: SensorSet,
 
     The effective sensitivities are the camera's, scaled per wavelength by
     the filter transmittance. A unit filter reproduces :func:`vora_value`
-    through the identical code path.
+    bit for bit.
     """
     _require_same_grid(camera.grid, observer.grid, filt.grid)
-    effective = filt.transmittance[:, None] * camera.responses
-    return VoraValue(_vora_of_matrices(effective, observer.responses))
+    # The filter is outside input, so the filtered camera keeps its rank check.
+    w = orthonormal_columns(filt.transmittance[:, None] * camera.responses)
+    return VoraValue(_vora_of_bases(w, _orthonormal_columns_unchecked(observer.responses)))
 
 
 def regularized_objective(camera: SensorSet, observer: SensorSet,

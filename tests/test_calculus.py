@@ -20,7 +20,11 @@ from vorafilter import (
     gradient_in_basis,
     hessian,
     hessian_in_basis,
+    WavelengthGrid,
+    gaussian_camera,
     make_basis,
+    newton_step,
+    resample_to_grid,
 )
 from vorafilter.calculus import _vora_hessian_raw
 from vorafilter.projectors import orthonormal_columns
@@ -250,3 +254,37 @@ class TestFloorHuggingFilters:
         assert rel_err(g, gfd) < 1e-5
         assert abs(f @ g) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
         assert np.max(np.abs(g + h @ f)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [31, 301])
+@pytest.mark.parametrize("floor", [False, True], ids=["random", "floor"])
+@pytest.mark.parametrize("kind, k", [("identity", None), ("cosine", 8)])
+def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
+    """Every derivative consumer returns exactly what the public gradient
+    and Hessian give at the same filter, so none can drift from the rest."""
+    grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
+    observer = SensorSet(grid=grid, responses=resample_to_grid(
+        cie_table.wavelengths, cie_table.values, grid))
+    camera = gaussian_camera(grid)
+    basis = make_basis(kind, k or n, grid)
+    rng = np.random.default_rng(n)
+    target = rng.uniform(0.3, 1.0, n)
+    if floor:
+        target[rng.permutation(n)[:10]] = 1e-4
+    if kind == "identity":
+        coeffs = target
+    else:
+        coeffs, *_ = np.linalg.lstsq(basis.basis, target, rcond=None)
+        # The constant atom shifts B c uniformly: lift its minimum to min(target).
+        coeffs[0] += target.min() - (basis.basis @ coeffs).min()
+    f = basis.basis @ coeffs
+    filt = FilterSpectrum(grid=grid, transmittance=f, tau_min=1e-12, tau_max=np.inf)
+    cols, alpha = basis.basis, 1e-4
+
+    g = gradient(camera, observer, filt).values
+    h = hessian(camera, observer, filt, alpha=alpha).matrix
+    assert np.array_equal(gradient_in_basis(camera, observer, basis, coeffs), cols.T @ g)
+    assert np.array_equal(hessian_in_basis(camera, observer, basis, coeffs, alpha),
+                          cols.T @ h @ cols)
+    assert np.array_equal(newton_step(camera, observer, filt, alpha),
+                          np.linalg.solve(h, -(g + alpha * f)))

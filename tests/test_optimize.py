@@ -237,8 +237,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(method="newton", alpha=0.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(shrink=1.0)
-        with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(init="warm")

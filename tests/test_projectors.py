@@ -1,4 +1,4 @@
-"""Orthonormalization and projector construction."""
+"""Orthonormal bases and the projectors built from them."""
 
 from __future__ import annotations
 
@@ -12,14 +12,15 @@ from vorafilter import (
     RankDeficient,
     SensorSet,
     ShapeMismatch,
-    diag_of,
-    ediag,
-    hadamard,
-    orthonormalize,
-    projector,
 )
+from vorafilter.projectors import orthonormal_columns
 
 N = DEFAULT_GRID.count
+
+
+def projector(matrix: np.ndarray) -> np.ndarray:
+    q = orthonormal_columns(matrix)
+    return q @ q.T
 
 
 class TestOrthonormalize:
@@ -27,7 +28,7 @@ class TestOrthonormalize:
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((N, 3)))
         sensors = SensorSet(grid=DEFAULT_GRID, responses=q)
-        basis = orthonormalize(sensors).basis
+        basis = orthonormal_columns(sensors.responses)
         assert np.max(np.abs(basis.T @ basis - np.eye(3))) < 1e-12
         assert np.max(np.abs(basis @ basis.T - q @ q.T)) < 1e-12
 
@@ -44,7 +45,7 @@ class TestOrthonormalize:
             rng = np.random.default_rng(seed)
             sensors = SensorSet(grid=DEFAULT_GRID,
                                 responses=rng.standard_normal((N, 3)))
-            basis = orthonormalize(sensors).basis
+            basis = orthonormal_columns(sensors.responses)
             assert np.max(np.abs(basis.T @ basis - np.eye(3))) < 1e-12
 
     def test_stable_up_to_condition_1e6(self):
@@ -52,25 +53,31 @@ class TestOrthonormalize:
         for _ in range(20):
             m = conditioned_sensor_matrix(rng, N, 1e6)
             sensors = SensorSet(grid=DEFAULT_GRID, responses=m)
-            basis = orthonormalize(sensors).basis
+            basis = orthonormal_columns(sensors.responses)
             assert np.max(np.abs(basis.T @ basis - np.eye(3))) < 1e-9
+
+    def test_wide_input_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            orthonormal_columns(np.ones((3, 4)))
+        with pytest.raises(ShapeMismatch):
+            orthonormal_columns(np.ones(N))
 
 
 class TestProjector:
     def test_coordinate_columns(self):
         m = np.eye(N)[:, :3]
-        p = projector(m).matrix
+        p = projector(m)
         expected = np.zeros((N, N))
         expected[0, 0] = expected[1, 1] = expected[2, 2] = 1.0
         assert np.array_equal(p, expected)
 
     def test_matches_normal_equations_on_cie(self, observer):
-        p_qr = projector(observer.responses).matrix
+        p_qr = projector(observer.responses)
         p_ne = projector_normal_equations(observer.responses)
         assert np.max(np.abs(p_qr - p_ne)) < 1e-10
 
     def test_projects_generator_columns_onto_themselves(self, camera):
-        p = projector(camera.responses).matrix
+        p = projector(camera.responses)
         for j in range(3):
             col = camera.responses[:, j]
             assert np.max(np.abs(p @ col - col)) < 1e-12
@@ -78,7 +85,7 @@ class TestProjector:
     def test_invariants_on_random_inputs(self):
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
-            p = projector(rng.standard_normal((N, 3))).matrix
+            p = projector(rng.standard_normal((N, 3)))
             assert np.max(np.abs(p - p.T)) < 1e-12
             assert np.max(np.abs(p @ p - p)) < 1e-10
             assert abs(np.trace(p) - 3.0) < 1e-10
@@ -90,56 +97,11 @@ class TestProjector:
             t = rng.uniform(-1.0, 1.0, (3, 3))
             while abs(np.linalg.det(t)) < 1e-2:
                 t = rng.uniform(-1.0, 1.0, (3, 3))
-            p1 = projector(m).matrix
-            p2 = projector(m @ t).matrix
+            p1 = projector(m)
+            p2 = projector(m @ t)
             assert np.max(np.abs(p1 - p2)) < 1e-10
 
     def test_rank_deficient_rejected(self):
         m = np.ones((N, 3))
         with pytest.raises(RankDeficient):
             projector(m)
-
-
-class TestElementwiseOps:
-    def test_ediag_diag_roundtrip(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(ediag(diag_of(v)), v)
-
-    def test_hadamard_identity_mask(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((5, 5))
-        masked = hadamard(np.eye(5), a)
-        assert np.array_equal(np.diag(masked), np.diag(a))
-        assert np.count_nonzero(masked - np.diag(np.diag(a))) == 0
-
-    def test_hadamard_commutes(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((N, N))
-        b = rng.standard_normal((N, N))
-        assert np.array_equal(hadamard(a, b), hadamard(b, a))
-
-    def test_shape_mismatch_errors(self):
-        with pytest.raises(ShapeMismatch):
-            ediag(np.ones((3, 4)))
-        with pytest.raises(ShapeMismatch):
-            diag_of(np.ones((3, 3)))
-        with pytest.raises(ShapeMismatch):
-            hadamard(np.ones((3, 3)), np.ones((3, 4)))
-
-
-class TestContainerValidation:
-    def test_orthonormal_basis_rejects_skewed_columns(self):
-        from vorafilter import OrthonormalBasis
-        rng = np.random.default_rng(4)
-        skewed = rng.standard_normal((N, 3))
-        with pytest.raises(ValueError):
-            OrthonormalBasis(grid=DEFAULT_GRID, basis=skewed)
-
-    def test_projector_matrix_rejects_non_idempotent(self):
-        from vorafilter import ProjectorMatrix
-        with pytest.raises(ValueError):
-            ProjectorMatrix(matrix=0.5 * np.eye(N))
-        rng = np.random.default_rng(5)
-        asym = rng.standard_normal((N, N))
-        with pytest.raises(ValueError):
-            ProjectorMatrix(matrix=asym)
