@@ -16,7 +16,8 @@ symmetric in exact arithmetic; assembly asymmetry beyond round-off is
 treated as a hard error (:class:`AsymmetricHessian`) rather than silently
 averaged away. Every derivative, here and in the optimizer, goes through
 one private kernel that builds ``A`` once per (camera, observer) pair and
-``B`` once per filter.
+``B`` once per filter; its ``newton`` method is the one solve of the
+regularized Newton system.
 
 Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`) are
 provided so every closed form can be verified independently; they are the
@@ -31,7 +32,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import AsymmetricHessian, BadBasisSpec, NonPositiveFilter, StepTooLarge
+from .errors import (AsymmetricHessian, BadBasisSpec, NonPositiveFilter, SingularSystem,
+                     StepTooLarge)
 from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
 from .spectral import FilterSpectrum, SensorSet, WavelengthGrid, numerical_rank
 from .vora import _require_same_grid, _vora_of_bases
@@ -197,9 +199,10 @@ class _Kernel:
         ab = self.a @ b
         return (2.0 / 3.0) * (_diag_of_product(b, self.a) - _diag_of_product(b, ab)) / f
 
-    def hessian(self, b: NDArray[np.float64], f: NDArray[np.float64],
-                alpha: float) -> NDArray[np.float64]:
-        """Symmetrized Hessian plus ``alpha * I``; raises on assembly asymmetry."""
+    def hessian(self, b: NDArray[np.float64], f: NDArray[np.float64], alpha: float,
+                basis: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
+        """Symmetrized Hessian plus ``alpha * I``, or ``B^T (H + alpha I) B``
+        given a ``basis`` matrix ``B``; raises on assembly asymmetry."""
         raw = _vora_hessian_raw(b, self.a, f)
         asym = float(np.max(np.abs(raw - raw.T)))
         if asym > HESSIAN_ASYMMETRY_TOL:
@@ -209,7 +212,27 @@ class _Kernel:
         h = 0.5 * (raw + raw.T)
         if alpha:
             h[np.diag_indices_from(h)] += alpha
-        return h
+        return h if basis is None else basis.T @ h @ basis
+
+    def newton(self, b: NDArray[np.float64], f: NDArray[np.float64], g: NDArray[np.float64],
+               alpha: float, basis: NDArray[np.float64] | None = None,
+               free: NDArray[np.bool_] | None = None) -> NDArray[np.float64]:
+        """The one Newton solve, ``(H + alpha I) d = -(g + alpha f)``. A ``basis``
+        ``B`` turns it into ``B^T (H + alpha I) B c = B^T rhs``; a ``free`` mask
+        solves for those components only, the rest of ``d`` staying zero.
+        Raises :class:`SingularSystem` when the system is singular."""
+        h = self.hessian(b, f, alpha, basis)
+        rhs = -(g + alpha * f)
+        if basis is not None:
+            rhs = basis.T @ rhs
+        try:
+            if free is None or free.all():
+                return np.linalg.solve(h, rhs)
+            d = np.zeros_like(rhs)
+            d[free] = np.linalg.solve(h[np.ix_(free, free)], rhs[free])
+            return d
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 
 
 def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -257,8 +280,8 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     optimizer. Raises :class:`AsymmetricHessian` if the assembled matrix is
     asymmetric beyond round-off.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
     return HessianMatrix(matrix=kernel.hessian(kernel.projector(f), f, alpha))
@@ -267,11 +290,11 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
 def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
                      coeffs: NDArray[np.float64], alpha: float = 0.0) -> NDArray[np.float64]:
     """Hessian w.r.t. basis coefficients: ``B^T (H + alpha I) B``."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     kernel = _Kernel(camera, observer, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return basis.basis.T @ kernel.hessian(kernel.projector(f), f, alpha) @ basis.basis
+    return kernel.hessian(kernel.projector(f), f, alpha, basis.basis)
 
 
 def fd_gradient(objective: Callable[[NDArray[np.float64]], float],

@@ -118,6 +118,13 @@ def _parse_grid(spec: str) -> WavelengthGrid:
                           count=int(parts[2]))
 
 
+def _load_inputs(args: argparse.Namespace) -> tuple[WavelengthGrid, SensorSet, SensorSet]:
+    """The grid, camera and observer named by the common flags."""
+    grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
+    return (grid, _load_sensors(args.camera, DEFAULT_CAMERA_FILE, grid),
+            _load_sensors(args.observer, DEFAULT_OBSERVER_FILE, grid))
+
+
 def _parse_basis(spec: str, grid: WavelengthGrid):
     parts = spec.split(":")
     if len(parts) != 2:
@@ -171,9 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
-    camera = _load_sensors(args.camera, DEFAULT_CAMERA_FILE, grid)
-    observer = _load_sensors(args.observer, DEFAULT_OBSERVER_FILE, grid)
+    grid, camera, observer = _load_inputs(args)
     native = vora_value(camera, observer)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -242,7 +247,6 @@ def _svg_report(report, grid: WavelengthGrid) -> str:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
     outputs = [p for p in (args.out_filter, args.out_trace, args.out_svg) if p]
     inputs = [p for p in (args.camera, args.observer, args.filter) if p]
     taken = {os.path.abspath(p) for p in inputs}
@@ -252,8 +256,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             raise VoraFilterError(f"output path collides with another path: {path}")
         taken.add(key)
 
-    camera = _load_sensors(args.camera, DEFAULT_CAMERA_FILE, grid)
-    observer = _load_sensors(args.observer, DEFAULT_OBSERVER_FILE, grid)
+    grid, camera, observer = _load_inputs(args)
     initial = None
     if args.filter:
         initial = _load_filter(args.filter, grid, args.tau_min, args.tau_max)
@@ -357,9 +360,7 @@ def run_identity_checks(camera: SensorSet, observer: SensorSet, seed: int,
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
-    camera = _load_sensors(args.camera, DEFAULT_CAMERA_FILE, grid)
-    observer = _load_sensors(args.observer, DEFAULT_OBSERVER_FILE, grid)
+    _, camera, observer = _load_inputs(args)
     if args.trials < 0:
         raise VoraFilterError("trials must be nonnegative")
     errors = run_identity_checks(camera, observer, args.seed, args.trials,

@@ -1,9 +1,12 @@
 """Filter optimization: projected gradient ascent and regularized Newton.
 
 Both methods maximize the filtered Vora-Value over the box
-``[tau_min, tau_max]^n``. Because the objective is invariant to rescaling
-the filter, iterates are kept in a fixed gauge (maximum transmittance equal
-to ``tau_max``); the gauge step never changes the objective.
+``[tau_min, tau_max]^n``. A run keeps one iterate ``x``: the filter, or its
+coefficients in a smoothness basis. The objective is invariant to rescaling
+the filter, so every trial iterate passes through one gauge, chosen per run,
+that scales it to maximum transmittance ``tau_max`` and returns its filter:
+clipped into the box for a filter, rejected for coefficients whose filter
+leaves it. The gauge step never changes the objective.
 
 The Newton direction solves ``(H + alpha I) d = -(g + alpha f)`` on the
 components not pinned at an active bound. A positive ``alpha`` is required:
@@ -35,6 +38,9 @@ _BOUND_EPS = 1e-12
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 50
 
+# A gauged iterate: (x, f), the iterate and the filter it stands for.
+_Gauged = tuple[NDArray[np.float64], NDArray[np.float64]]
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -58,14 +64,14 @@ class OptimizerConfig:
             raise ValueError(f"init must be one of {_INITS}")
         if not (0.0 < self.tau_min < self.tau_max <= 1.0):
             raise ValueError("need 0 < tau_min < tau_max <= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         if self.method == "newton" and self.alpha <= 0:
             raise ValueError("newton method requires alpha > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol_obj < 0 or self.tol_grad < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0.0 <= self.tol_obj < np.inf and 0.0 <= self.tol_grad < np.inf):
+            raise ValueError("tol_obj and tol_grad must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -111,20 +117,16 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     ``alpha`` must be positive: without regularization the step degenerates
     to the current filter and the search learns nothing.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive for a Newton step")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite for a Newton step")
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
     b = kernel.projector(f)
-    g = kernel.gradient(b, f)
-    try:
-        return np.linalg.solve(kernel.hessian(b, f, alpha), -(g + alpha * f))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
+    return kernel.newton(b, f, kernel.gradient(b, f), alpha)
 
 
 class _RunState:
-    """Innards of one optimization run (full-space or basis mode)."""
+    """Innards of one optimization run: iterate ``x``, its filter ``f``, value."""
 
     def __init__(self, camera: SensorSet, observer: SensorSet,
                  config: OptimizerConfig,
@@ -134,50 +136,48 @@ class _RunState:
         self.config = config
         self.grid = camera.grid
         self.basis = config.basis.basis if config.basis is not None else None
-        self.coeffs: NDArray[np.float64] | None = None
-        f0 = self._initial_values(initial_filter)
-        if self.basis is not None:
-            fit, *_ = np.linalg.lstsq(self.basis, f0, rcond=None)
-            self.coeffs, self.f = self._feasible_coeffs(fit)
-        else:
-            self.f = self._gauge_full(f0)
-        self.value = self.kernel.value(self.f)
-
-    def _initial_values(self, initial_filter: FilterSpectrum | None) -> NDArray[np.float64]:
-        cfg = self.config
         if initial_filter is not None:
             _require_same_grid(self.grid, initial_filter.grid)
-            return initial_filter.transmittance.copy()
-        if cfg.init == "ones":
-            return np.ones(self.grid.count)
-        rng = np.random.default_rng(cfg.seed)
-        return rng.uniform(cfg.tau_min, cfg.tau_max, self.grid.count)
+            f0 = initial_filter.transmittance.copy()
+        elif config.init == "ones":
+            f0 = np.ones(self.grid.count)
+        else:
+            rng = np.random.default_rng(config.seed)
+            f0 = rng.uniform(config.tau_min, config.tau_max, self.grid.count)
+        if self.basis is None:
+            self.gauge = self._gauge_full
+            self.x, self.f = self.gauge(f0)
+        else:
+            self.gauge = self._gauge_coeffs
+            self.x, self.f = self._feasible_coeffs(f0)
+        self.value = self.kernel.value(self.f)
 
-    def _feasible_coeffs(
-        self, fit: NDArray[np.float64]
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        # Blend toward the constant-filter fit until the combination is a
-        # valid (positive, in-box after gauging) filter.
-        ones_fit, *_ = np.linalg.lstsq(self.basis, np.ones(self.grid.count),
-                                       rcond=None)
+    def _feasible_coeffs(self, f0: NDArray[np.float64]) -> _Gauged:
+        # Blend the fit of f0 toward the constant-filter fit until the
+        # combination is a valid (positive, in-box after gauging) filter.
+        fit, *_ = np.linalg.lstsq(self.basis, f0, rcond=None)
+        ones_fit, *_ = np.linalg.lstsq(self.basis, np.ones(self.grid.count), rcond=None)
         blend = 1.0
         for _ in range(60):
-            gauged = self._gauge_coeffs(ones_fit + blend * (fit - ones_fit))
+            gauged = self.gauge(ones_fit + blend * (fit - ones_fit))
             if gauged is not None:
                 return gauged
             blend *= 0.5
         raise NonPositiveFilter("could not find a feasible basis start point")
 
-    # -- gauge + feasibility --------------------------------------------
+    # -- gauge: a trial iterate -> (iterate, filter), or None if infeasible --
 
-    def _gauge_full(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
-        scaled = values * (self.config.tau_max / values.max())
-        return project_to_box(scaled, self.config.tau_min, self.config.tau_max)
+    def _gauge_full(self, values: NDArray[np.float64]) -> _Gauged | None:
+        """Rescale into the gauge, then clip into the box."""
+        peak = values.max()
+        if not peak > 0.0:
+            return None
+        f = project_to_box(values * (self.config.tau_max / peak),
+                           self.config.tau_min, self.config.tau_max)
+        return f, f
 
-    def _gauge_coeffs(
-        self, coeffs: NDArray[np.float64]
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64]] | None:
-        """Rescale coefficients into the gauge; returns (coeffs, filter).
+    def _gauge_coeffs(self, coeffs: NDArray[np.float64]) -> _Gauged | None:
+        """Rescale coefficients into the gauge; rejects out-of-box filters.
 
         The filter is recomputed from the scaled coefficients so the
         feasibility check sees exactly the vector later code will use
@@ -197,19 +197,25 @@ class _RunState:
                 break
         else:
             return None
-        if np.any(f < cfg.tau_min):
-            return None
-        return c, f
+        return None if np.any(f < cfg.tau_min) else (c, f)
 
     # -- objective and derivatives ---------------------------------------
 
-    def mu(self, f: NDArray[np.float64]) -> float:
-        return self.kernel.value(f) + 0.5 * self.config.alpha * float(f @ f)
+    def mu(self) -> float:
+        # The stored value is the objective at f, so nothing is re-evaluated.
+        return self.value + 0.5 * self.config.alpha * float(self.f @ self.f)
 
-    def derivatives(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-        """Filtered projector, gradient, and box-projected gradient at self.f."""
+    @property
+    def coefficients(self) -> NDArray[np.float64] | None:
+        return None if self.basis is None else self.x.copy()
+
+    def derivatives(self) -> tuple[NDArray[np.float64], ...]:
+        """Filtered projector, gradient, and steering direction at the iterate:
+        the box-projected gradient for a filter, ``B^T g`` for coefficients."""
         b = self.kernel.projector(self.f)
         g = self.kernel.gradient(b, self.f)
+        if self.basis is not None:
+            return b, g, self.basis.T @ g
         cfg = self.config
         gp = g.copy()
         gp[(self.f >= cfg.tau_max - _BOUND_EPS) & (g > 0)] = 0.0
@@ -222,56 +228,35 @@ class _RunState:
 
         Only the tau_min bound is treated as active: the upper bound is a
         gauge artifact (rescaling relaxes it), so components riding it stay
-        in the solve.
+        in the solve. Basis mode solves for every coefficient.
         """
         cfg = self.config
-        h = self.kernel.hessian(b, self.f, cfg.alpha)
-        rhs = -(g + cfg.alpha * self.f)
-        if self.basis is not None:
-            hb = self.basis.T @ h @ self.basis
-            try:
-                return np.linalg.solve(hb, self.basis.T @ rhs)
-            except np.linalg.LinAlgError:
+        free = None
+        if self.basis is None:
+            free = ~((self.f <= cfg.tau_min + _BOUND_EPS) & (g < 0.0))
+            if not free.any():
                 return None
-        free = ~((self.f <= cfg.tau_min + _BOUND_EPS) & (g < 0.0))
-        if not free.any():
-            return None
-        d = np.zeros_like(self.f)
         try:
-            if free.all():
-                d = np.linalg.solve(h, rhs)
-            else:
-                d[free] = np.linalg.solve(h[np.ix_(free, free)], rhs[free])
-        except np.linalg.LinAlgError:
+            return self.kernel.newton(b, self.f, g, cfg.alpha, self.basis, free)
+        except SingularSystem:
             return None
-        return d
 
     # -- line search -------------------------------------------------------
 
     def line_search(self, direction: NDArray[np.float64]):
-        """First backtracked step that strictly increases the objective.
-
-        Returns (new_f, new_coeffs, value, step_len, backtracks) or None.
-        """
+        """First backtracked step that strictly increases the objective, as
+        (x, f, value, step_len, backtracks); None if there is none."""
         d_norm = float(np.linalg.norm(direction))
         if d_norm == 0.0 or not np.isfinite(d_norm):
             return None
         t = 1.0
         for bt in range(_MAX_BACKTRACKS):
-            if self.basis is not None:
-                gauged = self._gauge_coeffs(self.coeffs + t * direction)
-                if gauged is not None:
-                    c_t, f_t = gauged
-                    v_t = self.kernel.value(f_t)
-                    if v_t > self.value:
-                        return f_t, c_t, v_t, t * d_norm, bt
-            else:
-                f_t = self.f + t * direction
-                if f_t.max() > 0.0:
-                    f_t = self._gauge_full(f_t)
-                    v_t = self.kernel.value(f_t)
-                    if v_t > self.value:
-                        return f_t, None, v_t, t * d_norm, bt
+            gauged = self.gauge(self.x + t * direction)
+            if gauged is not None:
+                x_t, f_t = gauged
+                v_t = self.kernel.value(f_t)
+                if v_t > self.value:
+                    return x_t, f_t, v_t, t * d_norm, bt
             t *= _SHRINK
         return None
 
@@ -299,28 +284,22 @@ def optimize(camera: SensorSet, observer: SensorSet,
     termination = "max_iters"
 
     for it in range(1, cfg.max_iters + 1):
-        b, g, gp = state.derivatives()
-        g_steer = state.basis.T @ g if state.basis is not None else gp
+        b, g, g_steer = state.derivatives()
         grad_norm = float(np.max(np.abs(g_steer)))
         if it == 1:
-            rows.append(IterationRecord(0, state.value, state.mu(state.f),
-                                        0.0, grad_norm, 0))
+            rows.append(IterationRecord(0, state.value, state.mu(), 0.0, grad_norm, 0))
         if grad_norm < cfg.tol_grad:
             termination = "converged_grad"
             break
 
-        best = None
+        best = state.line_search(g_steer)
         if cfg.method == "newton":
+            # Newton races the plain ascent direction and wins ties: near the
+            # optimum the damped Newton system can go quiet while g still climbs.
             d_newton = state.newton_direction(b, g)
-            if d_newton is not None:
-                best = state.line_search(d_newton)
-            # Race the plain ascent direction; near the optimum the damped
-            # Newton system can go quiet while the gradient still climbs.
-            res_g = state.line_search(g_steer)
-            if res_g is not None and (best is None or res_g[2] > best[2]):
-                best = res_g
-        else:
-            best = state.line_search(g_steer)
+            res_n = None if d_newton is None else state.line_search(d_newton)
+            if res_n is not None and (best is None or res_n[2] >= best[2]):
+                best = res_n
 
         if best is None:
             if it == 1:
@@ -328,13 +307,10 @@ def optimize(camera: SensorSet, observer: SensorSet,
             termination = "stalled"
             break
 
-        f_new, c_new, v_new, step_len, backtracks = best
-        gain = v_new - state.value
-        state.f, state.value = f_new, v_new
-        if c_new is not None:
-            state.coeffs = c_new
-        rows.append(IterationRecord(it, state.value, state.mu(state.f),
-                                    step_len, grad_norm, backtracks))
+        gain = best[2] - state.value
+        state.x, state.f, state.value, step_len, backtracks = best
+        rows.append(IterationRecord(it, state.value, state.mu(), step_len, grad_norm,
+                                    backtracks))
         small_steps = small_steps + 1 if gain < cfg.tol_obj else 0
         if small_steps >= 3:
             termination = "converged_obj"
@@ -349,5 +325,5 @@ def optimize(camera: SensorSet, observer: SensorSet,
         initial_vora=initial_vora,
         final_vora=state.value,
         termination=termination,
-        coefficients=None if state.coeffs is None else state.coeffs.copy(),
+        coefficients=state.coefficients,
     )

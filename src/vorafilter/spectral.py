@@ -47,8 +47,10 @@ class WavelengthGrid:
     count: int = 31
 
     def __post_init__(self) -> None:
-        if not (self.step_nm > 0):
-            raise ValueError("step_nm must be positive")
+        if not np.isfinite(self.start_nm):
+            raise ValueError("start_nm must be finite")
+        if not 0.0 < self.step_nm < np.inf:
+            raise ValueError("step_nm must be positive and finite")
         if self.count < 4:
             raise ValueError("count must be at least 4")
 
@@ -164,10 +166,12 @@ class SpectralTable(NamedTuple):
 def parse_spectral_csv(text: str, expected_channels: int) -> SpectralTable:
     """Parse a spectral CSV with header ``wavelength,<c1>[,<c2>,...]``.
 
-    Comment lines starting with ``#`` and blank lines are skipped. Rows must
-    be sorted ascending by wavelength with no duplicates. Returns the raw
-    samples without resampling.
+    A leading UTF-8 byte-order mark (as spreadsheet exports write) is
+    dropped. Comment lines starting with ``#`` and blank lines are skipped.
+    Rows must be sorted ascending by wavelength with no duplicates. Returns
+    the raw samples without resampling.
     """
+    text = text.removeprefix("\ufeff")
     header: list[str] | None = None
     wavelengths: list[float] = []
     rows: list[list[float]] = []

@@ -94,8 +94,8 @@ def regularized_objective(camera: SensorSet, observer: SensorSet,
     ``alpha * f`` and whose Hessian gains ``alpha * I``; the penalty is what
     makes Newton steps informative (see the optimizer module).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     nu = filtered_vora_value(camera, observer, filt).raw
     f = filt.transmittance
     return nu + 0.5 * alpha * float(f @ f)

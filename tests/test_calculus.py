@@ -11,6 +11,7 @@ from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
     NonPositiveFilter,
+    OptimizerConfig,
     SensorSet,
     StepTooLarge,
     fd_gradient,
@@ -27,6 +28,7 @@ from vorafilter import (
     resample_to_grid,
 )
 from vorafilter.calculus import _vora_hessian_raw
+from vorafilter.optimize import _RunState
 from vorafilter.projectors import orthonormal_columns
 
 N = DEFAULT_GRID.count
@@ -153,6 +155,17 @@ class TestHessian:
         h0 = hessian(camera, observer, filt, alpha=0.0).matrix
         h1 = hessian(camera, observer, filt, alpha=1e-3).matrix
         assert np.max(np.abs((h1 - h0) - 1e-3 * np.eye(N))) < 1e-15
+
+    def test_rejects_negative_or_non_finite_alpha(self, camera, observer):
+        filt = make_random_filter(23)
+        basis = make_basis("cosine", 8, DEFAULT_GRID)
+        coeffs = np.zeros(8)
+        coeffs[0] = 0.7
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                hessian(camera, observer, filt, alpha=bad)
+            with pytest.raises(ValueError):
+                hessian_in_basis(camera, observer, basis, coeffs, alpha=bad)
 
     def test_result_is_symmetric(self, camera, observer):
         filt = make_random_filter(22)
@@ -288,3 +301,18 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
                           cols.T @ h @ cols)
     assert np.array_equal(newton_step(camera, observer, filt, alpha),
                           np.linalg.solve(h, -(g + alpha * f)))
+
+    # The optimizer's Newton direction at the same filter, every component free.
+    full = kind == "identity"
+    config = OptimizerConfig(method="newton", alpha=alpha, tau_min=1e-5,
+                             basis=None if full else basis)
+    state = _RunState(camera, observer, config, None)
+    state.x, state.f = (f, f) if full else (coeffs, f)
+    b, g_state, _ = state.derivatives()
+    direction = state.newton_direction(b, g_state)
+    if full:
+        assert np.array_equal(direction, newton_step(camera, observer, filt, alpha))
+    else:
+        h_basis = hessian_in_basis(camera, observer, basis, coeffs, alpha)
+        assert np.array_equal(direction,
+                              np.linalg.solve(h_basis, cols.T @ -(g + alpha * f)))

@@ -69,6 +69,26 @@ class TestEvaluate:
         assert code == 2
         assert "bad.csv" in err and "line 2" in err
 
+    def test_csv_with_byte_order_mark(self, capsys, tmp_path):
+        lam = DEFAULT_GRID.wavelengths
+        text = format_spectral_csv(lam, np.linspace(0.3, 0.9, lam.size),
+                                   ("transmittance",))
+        values = []
+        for name, encoding in (("plain.csv", "utf-8"), ("bom.csv", "utf-8-sig")):
+            path = tmp_path / name
+            path.write_text(text, encoding=encoding)
+            assert main(["evaluate", "--filter", str(path), "--json"]) == 0
+            values.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("spec, field", [("nan:10:31", "start_nm"),
+                                             ("400:inf:31", "step_nm")])
+    def test_non_finite_grid_exits_2_naming_the_field(self, capsys, spec, field):
+        code = main(["evaluate", "--grid", spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err
+
     def test_grid_override(self, capsys):
         code = main(["evaluate", "--grid", "420:20:12"])
         out = capsys.readouterr().out
@@ -159,6 +179,13 @@ class TestOptimize:
         out = capsys.readouterr().out
         assert code == 3
         assert "termination: stalled" in out
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2_naming_the_field(self, capsys, alpha):
+        code = main(["optimize", "--method", "newton", "--alpha", alpha])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "alpha" in err
 
     def test_output_collision_exits_2(self, capsys, tmp_path):
         path = tmp_path / "same.csv"

@@ -12,6 +12,7 @@ from vorafilter import (
     NoAscent,
     OptimizerConfig,
     SensorSet,
+    SingularSystem,
     gradient,
     hessian,
     make_basis,
@@ -75,8 +76,36 @@ class TestNewtonStep:
         assert np.max(np.abs(step - expected)) < 1e-8
 
     def test_requires_positive_alpha(self, camera, observer):
-        with pytest.raises(ValueError):
-            newton_step(camera, observer, FilterSpectrum.ones(DEFAULT_GRID), 0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                newton_step(camera, observer, FilterSpectrum.ones(DEFAULT_GRID), bad)
+
+
+class TestSingularNewtonSystem:
+    """With ``H + alpha I`` exactly zero the Newton system has no solution."""
+
+    ALPHA = 1e-4
+
+    @pytest.fixture
+    def singular(self, monkeypatch):
+        import vorafilter.calculus as calculus
+        monkeypatch.setattr(calculus, "_vora_hessian_raw",
+                            lambda b, a, f: -self.ALPHA * np.eye(f.size))
+
+    def test_newton_step_raises(self, singular, camera, observer):
+        with pytest.raises(SingularSystem):
+            newton_step(camera, observer, make_random_filter(4), self.ALPHA)
+
+    @pytest.mark.parametrize("basis", [None, "cosine"])
+    def test_optimizer_falls_back_to_the_gradient(self, singular, camera,
+                                                  observer, basis):
+        cfg = OptimizerConfig(
+            method="newton", alpha=self.ALPHA, max_iters=30,
+            basis=None if basis is None else make_basis(basis, 8, DEFAULT_GRID))
+        report = optimize(camera, observer, cfg)
+        voras = [r.vora for r in report.iterations]
+        assert len(voras) > 2
+        assert all(b > a for a, b in zip(voras, voras[1:]))
 
 
 class TestOptimizeColorimetric:
@@ -240,6 +269,12 @@ class TestConfigValidation:
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(init="warm")
+        for bad in (np.nan, np.inf):
+            for field in ("alpha", "tol_obj", "tol_grad"):
+                with pytest.raises(ValueError, match=field):
+                    OptimizerConfig(**{field: bad})
+            with pytest.raises(ValueError):
+                OptimizerConfig(method="newton", alpha=bad)
 
 
 class TestBasisRandomInit:

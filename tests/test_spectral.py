@@ -42,6 +42,12 @@ class TestWavelengthGrid:
         with pytest.raises(ValueError):
             WavelengthGrid(400.0, -5.0, 31)
 
+    def test_rejects_non_finite_fields(self):
+        for start, step in ((np.nan, 10.0), (np.inf, 10.0), (400.0, np.nan),
+                            (400.0, np.inf)):
+            with pytest.raises(ValueError):
+                WavelengthGrid(start, step, 31)
+
     def test_rejects_tiny_count(self):
         with pytest.raises(ValueError):
             WavelengthGrid(400.0, 10.0, 3)
@@ -82,6 +88,20 @@ class TestParseSpectralCsv:
         table = parse_spectral_csv(text, 1)
         assert table.wavelengths.tolist() == [400.0, 410.0]
         assert table.values[:, 0].tolist() == [0.5, 0.6]
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        text = "wavelength,x,y,z\n400,0.01,0.0,0.07\n410,0.04,0.001,0.2"
+        plain = parse_spectral_csv(text, 3)
+        marked = parse_spectral_csv("\ufeff" + text, 3)
+        assert marked.channel_names == plain.channel_names
+        assert np.array_equal(marked.values, plain.values)
+        with pytest.raises(MalformedCsv):
+            parse_spectral_csv("\ufeff\ufeff" + text, 3)
+        path = tmp_path / "bom.csv"
+        path.write_text(cie_csv_text(), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        loaded = load_sensor_set(path, DEFAULT_GRID)
+        assert loaded.responses.shape == (DEFAULT_GRID.count, 3)
 
     def test_cie_fixture_has_61_rows(self):
         table = parse_spectral_csv(cie_csv_text(), 3)

@@ -151,9 +151,10 @@ class TestRegularizedObjective:
         assert abs((mu - nu) - 0.5 * alpha * float(f @ f)) < 1e-14
 
     def test_negative_alpha_rejected(self, camera, observer):
-        with pytest.raises(ValueError):
-            regularized_objective(camera, observer,
-                                  FilterSpectrum.ones(DEFAULT_GRID), -1.0)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                regularized_objective(camera, observer,
+                                      FilterSpectrum.ones(DEFAULT_GRID), bad)
 
 
 def test_vora_value_float_protocol(camera, observer):
