@@ -11,13 +11,26 @@ Writing ``A = P{X}``, ``B = P{FQ}`` and ``C = F^-1``, the closed forms are
                            +  (CBC) o ((I - 2B) A)
                            -  (C B A B C) o I ]
 
-with ``o`` the elementwise product. The Hessian expression is already
-symmetric in exact arithmetic; assembly asymmetry beyond round-off is
-treated as a hard error (:class:`AsymmetricHessian`) rather than silently
-averaged away. Every derivative, here and in the optimizer, goes through
-one private kernel that builds ``A`` once per (camera, observer) pair and
-``B`` once per filter; its ``newton`` method is the one solve of the
-regularized Newton system.
+with ``o`` the elementwise product. Both projectors have rank 3: ``B = W W^T``
+with ``W`` the QR basis of ``F Q`` and ``A = V V^T`` with ``V`` that of the
+observer. With ``M = W^T V`` (3 x 3), ``R = W M`` and ``Z = V - 2R`` (so that
+``(I - 2B) A (I - 2B) = Z Z^T``), row ``i`` of each gives
+
+    grad_i           = (2/3) r_i . (v_i - r_i) / f_i
+    hessian + alpha I = diag(d) + U U^T,   d_i = alpha - (2/3) |r_i|^2 / f_i^2,
+                                           U   = sqrt(2/3) (W (x) Z) / f
+
+where ``(x)`` is the row-wise Kronecker product, so ``U`` is n x 9. The
+optimizer and every derivative consumer work from these factors: a gradient
+costs O(n) and a Newton solve O(81 n), by Sherman-Morrison-Woodbury with a
+9 x 9 capacitance matrix. No n x n matrix is formed on that path, except by
+the dense fallback taken when a Woodbury solve's residual is not small.
+
+The dense assembly above is kept in :func:`hessian` alone, as its public
+output and as the oracle the factored operator is checked against. Its
+expression is symmetric in exact arithmetic; assembly asymmetry beyond
+round-off is treated as a hard error (:class:`AsymmetricHessian`) rather than
+silently averaged away.
 
 Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`) are
 provided so every closed form can be verified independently; they are the
@@ -42,6 +55,9 @@ from .vora import _require_same_grid, _vora_of_bases
 HESSIAN_ASYMMETRY_TOL = 1e-9
 # Validation bound for the symmetrized result stored in HessianMatrix.
 HESSIAN_SYMMETRY_TOL = 1e-10
+# A Woodbury Newton solve whose normwise backward error exceeds this, or is
+# not finite, is redone densely. Measured errors are ~1e-15.
+WOODBURY_BACKWARD_TOL = 1e-10
 
 # Central-difference steps balancing truncation against round-off for
 # unit-scale filters.
@@ -147,33 +163,76 @@ def make_basis(kind: str, k: int, grid: WavelengthGrid) -> BasisSet:
     return BasisSet(grid=grid, basis=cols, kind=kind)
 
 
-def _diag_of_product(m: NDArray[np.float64],
-                     n: NDArray[np.float64]) -> NDArray[np.float64]:
-    # ediag(M N) without forming M N
-    return np.einsum("ij,ji->i", m, n)
-
-
 def _vora_hessian_raw(b: NDArray[np.float64], a: NDArray[np.float64],
                       f: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Unsymmetrized Hessian assembly (symmetric up to round-off)."""
+    """Unsymmetrized dense Hessian assembly (symmetric up to round-off)."""
     ab = a @ b
     bab = b @ ab
     cb = b / f[:, None]
     cbc = cb / f[None, :]
     term1 = -2.0 * cb * ((ab - 2.0 * bab) / f[None, :])
     term2 = cbc * (a - 2.0 * ab.T)
-    diag3 = _diag_of_product(b, ab) / (f * f)
+    diag3 = np.einsum("ij,ji->i", b, ab) / (f * f)
     h = (2.0 / 3.0) * (term1 + term2)
     h[np.diag_indices_from(h)] -= (2.0 / 3.0) * diag3
     return h
 
 
+def _hessian_factors(w: NDArray[np.float64], v: NDArray[np.float64],
+                     f: NDArray[np.float64],
+                     alpha: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``(d, U)`` with ``H + alpha I = diag(d) + U U^T``; ``U`` is n x 9."""
+    r = w @ (w.T @ v)
+    z = v - 2.0 * r
+    d = alpha - (2.0 / 3.0) * np.einsum("ij,ij->i", r, r) / (f * f)
+    u = (w[:, :, None] * z[:, None, :]).reshape(f.size, 9)
+    u *= (np.sqrt(2.0 / 3.0) / f)[:, None]
+    return d, u
+
+
+def _basis_hessian(d: NDArray[np.float64], u: NDArray[np.float64],
+                   basis: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``B^T (diag(d) + U U^T) B``, k x k, without the n x n operator."""
+    bu = basis.T @ u
+    return (basis.T * d) @ basis + bu @ bu.T
+
+
+def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
+                    rhs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Solve ``(diag(d) + U U^T) x = rhs`` by Sherman-Morrison-Woodbury.
+
+    The O(n k) residual decides whether to trust the result; if it is not
+    finite or its normwise backward error exceeds ``WOODBURY_BACKWARD_TOL``
+    (say ``d`` has a zero), the same operator is solved densely. Raises
+    ``LinAlgError`` when that dense system is singular.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        du = u / d[:, None]
+        db = rhs / d
+        capacitance = np.eye(u.shape[1]) + u.T @ du
+        try:
+            x = db - du @ np.linalg.solve(capacitance, u.T @ db)
+        except np.linalg.LinAlgError:
+            x = None
+        if x is not None:
+            resid = np.linalg.norm(d * x + u @ (u.T @ x) - rhs)
+            # max|d| + ||U||_F^2 bounds ||diag(d) + U U^T||_2 from above.
+            op_norm = np.abs(d).max() + np.vdot(u, u)
+            if resid <= WOODBURY_BACKWARD_TOL * (op_norm * np.linalg.norm(x)
+                                                 + np.linalg.norm(rhs)):
+                return x
+    dense = u @ u.T
+    dense[np.diag_indices_from(dense)] += d
+    return np.linalg.solve(dense, rhs)
+
+
 class _Kernel:
     """The closed forms for one (camera, observer) pair.
 
-    The observer basis ``V`` and projector ``A = P{X}`` are built once; each
-    filter then costs one QR of ``diag(f) Q``, whose projector ``B`` the
-    gradient and Hessian share.
+    The observer basis ``V`` is built once; each filter then costs one QR of
+    ``diag(f) Q``, whose basis ``W`` the gradient and the Hessian factors
+    share. Nothing here forms an n x n matrix except the guarded dense
+    fallback of the Woodbury solve.
     """
 
     def __init__(self, camera: SensorSet, observer: SensorSet,
@@ -181,56 +240,38 @@ class _Kernel:
         _require_same_grid(camera.grid, observer.grid, *grids)
         self.q = camera.responses
         self.v = orthonormal_columns(observer.responses)
-        self.a = self.v @ self.v.T
 
-    def _filtered_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
+    def filtered_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
         # Positive f times rank-3 responses is rank 3 by construction.
         return _orthonormal_columns_unchecked(f[:, None] * self.q)
 
     def value(self, f: NDArray[np.float64]) -> float:
-        return _vora_of_bases(self._filtered_basis(f), self.v)
+        return _vora_of_bases(self.filtered_basis(f), self.v)
 
-    def projector(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
-        w = self._filtered_basis(f)
-        return w @ w.T
-
-    def gradient(self, b: NDArray[np.float64],
+    def gradient(self, w: NDArray[np.float64],
                  f: NDArray[np.float64]) -> NDArray[np.float64]:
-        ab = self.a @ b
-        return (2.0 / 3.0) * (_diag_of_product(b, self.a) - _diag_of_product(b, ab)) / f
+        r = w @ (w.T @ self.v)
+        return (2.0 / 3.0) * np.einsum("ij,ij->i", r, self.v - r) / f
 
-    def hessian(self, b: NDArray[np.float64], f: NDArray[np.float64], alpha: float,
-                basis: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
-        """Symmetrized Hessian plus ``alpha * I``, or ``B^T (H + alpha I) B``
-        given a ``basis`` matrix ``B``; raises on assembly asymmetry."""
-        raw = _vora_hessian_raw(b, self.a, f)
-        asym = float(np.max(np.abs(raw - raw.T)))
-        if asym > HESSIAN_ASYMMETRY_TOL:
-            raise AsymmetricHessian(
-                f"hessian assembly asymmetry {asym:.3e} exceeds {HESSIAN_ASYMMETRY_TOL:g}"
-            )
-        h = 0.5 * (raw + raw.T)
-        if alpha:
-            h[np.diag_indices_from(h)] += alpha
-        return h if basis is None else basis.T @ h @ basis
-
-    def newton(self, b: NDArray[np.float64], f: NDArray[np.float64], g: NDArray[np.float64],
+    def newton(self, w: NDArray[np.float64], f: NDArray[np.float64], g: NDArray[np.float64],
                alpha: float, basis: NDArray[np.float64] | None = None,
                free: NDArray[np.bool_] | None = None) -> NDArray[np.float64]:
-        """The one Newton solve, ``(H + alpha I) d = -(g + alpha f)``. A ``basis``
-        ``B`` turns it into ``B^T (H + alpha I) B c = B^T rhs``; a ``free`` mask
-        solves for those components only, the rest of ``d`` staying zero.
-        Raises :class:`SingularSystem` when the system is singular."""
-        h = self.hessian(b, f, alpha, basis)
+        """The one Newton solve, ``(H + alpha I) s = -(g + alpha f)``, by
+        Woodbury on the factors. A ``basis`` ``B`` turns it into the k x k
+        system ``B^T (H + alpha I) B c = B^T rhs``; a ``free`` mask solves for
+        those components only (rows of ``d``, ``U`` and ``rhs``), the rest of
+        the step staying zero. Raises :class:`SingularSystem` when the system
+        is singular."""
+        d, u = _hessian_factors(w, self.v, f, alpha)
         rhs = -(g + alpha * f)
-        if basis is not None:
-            rhs = basis.T @ rhs
         try:
+            if basis is not None:
+                return np.linalg.solve(_basis_hessian(d, u, basis), basis.T @ rhs)
             if free is None or free.all():
-                return np.linalg.solve(h, rhs)
-            d = np.zeros_like(rhs)
-            d[free] = np.linalg.solve(h[np.ix_(free, free)], rhs[free])
-            return d
+                return _woodbury_solve(d, u, rhs)
+            step = np.zeros_like(rhs)
+            step[free] = _woodbury_solve(d[free], u[free], rhs[free])
+            return step
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 
@@ -260,7 +301,7 @@ def gradient(camera: SensorSet, observer: SensorSet,
     """Analytic gradient of the filtered Vora-Value at ``filt``."""
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    return GradientVector(grid=filt.grid, values=kernel.gradient(kernel.projector(f), f))
+    return GradientVector(grid=filt.grid, values=kernel.gradient(kernel.filtered_basis(f), f))
 
 
 def gradient_in_basis(camera: SensorSet, observer: SensorSet,
@@ -268,7 +309,7 @@ def gradient_in_basis(camera: SensorSet, observer: SensorSet,
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
     kernel = _Kernel(camera, observer, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return basis.basis.T @ kernel.gradient(kernel.projector(f), f)
+    return basis.basis.T @ kernel.gradient(kernel.filtered_basis(f), f)
 
 
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -277,24 +318,37 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
 
     With ``alpha = 0`` this is the plain second derivative; a positive
     ``alpha`` gives the regularized-objective Hessian used by the Newton
-    optimizer. Raises :class:`AsymmetricHessian` if the assembled matrix is
-    asymmetric beyond round-off.
+    optimizer. This is the one dense n x n assembly, the oracle for the
+    factored operator the optimizer uses. Raises :class:`AsymmetricHessian`
+    if the assembled matrix is asymmetric beyond round-off.
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    return HessianMatrix(matrix=kernel.hessian(kernel.projector(f), f, alpha))
+    w = kernel.filtered_basis(f)
+    raw = _vora_hessian_raw(w @ w.T, kernel.v @ kernel.v.T, f)
+    asym = float(np.max(np.abs(raw - raw.T)))
+    if asym > HESSIAN_ASYMMETRY_TOL:
+        raise AsymmetricHessian(
+            f"hessian assembly asymmetry {asym:.3e} exceeds {HESSIAN_ASYMMETRY_TOL:g}"
+        )
+    h = 0.5 * (raw + raw.T)
+    if alpha:
+        h[np.diag_indices_from(h)] += alpha
+    return HessianMatrix(matrix=h)
 
 
 def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
                      coeffs: NDArray[np.float64], alpha: float = 0.0) -> NDArray[np.float64]:
-    """Hessian w.r.t. basis coefficients: ``B^T (H + alpha I) B``."""
+    """Hessian w.r.t. basis coefficients: ``B^T (H + alpha I) B``, built
+    from the factored operator in O(n k^2) without an n x n matrix."""
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
     kernel = _Kernel(camera, observer, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return kernel.hessian(kernel.projector(f), f, alpha, basis.basis)
+    return _basis_hessian(*_hessian_factors(kernel.filtered_basis(f), kernel.v, f, alpha),
+                          basis.basis)
 
 
 def fd_gradient(objective: Callable[[NDArray[np.float64]], float],

@@ -8,7 +8,8 @@ check     verify the analytic calculus against finite differences and the
           structural identities on random filters
 
 Exit codes: 0 success, 2 input error, 3 optimization stalled, 4 verification
-failure, 5 asymmetric Hessian assembly (a numerical bug, not bad input).
+failure, 5 asymmetric Hessian assembly (a numerical bug, not bad input;
+only ``check`` assembles the dense Hessian, so only it can exit 5).
 Outputs are pure functions of (input files, flags, seed); re-running
 a command reproduces its CSV/JSON output byte for byte.
 """

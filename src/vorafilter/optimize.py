@@ -113,7 +113,10 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
                 alpha: float) -> NDArray[np.float64]:
     """Regularized Newton step ``-(H + alpha I)^-1 (g + alpha f)``.
 
-    Solved as a symmetric linear system; no explicit inverse is formed.
+    ``H + alpha I`` is a diagonal plus a rank-9 term (see
+    :mod:`vorafilter.calculus`), so the step is solved by Sherman-Morrison-
+    Woodbury in O(81 n) time and O(n) memory; no n x n matrix or inverse is
+    formed unless the residual check sends the solve to its dense fallback.
     ``alpha`` must be positive: without regularization the step degenerates
     to the current filter and the search learns nothing.
     """
@@ -121,8 +124,8 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise ValueError("alpha must be positive and finite for a Newton step")
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    b = kernel.projector(f)
-    return kernel.newton(b, f, kernel.gradient(b, f), alpha)
+    w = kernel.filtered_basis(f)
+    return kernel.newton(w, f, kernel.gradient(w, f), alpha)
 
 
 class _RunState:
@@ -210,19 +213,20 @@ class _RunState:
         return None if self.basis is None else self.x.copy()
 
     def derivatives(self) -> tuple[NDArray[np.float64], ...]:
-        """Filtered projector, gradient, and steering direction at the iterate:
-        the box-projected gradient for a filter, ``B^T g`` for coefficients."""
-        b = self.kernel.projector(self.f)
-        g = self.kernel.gradient(b, self.f)
+        """Filtered camera basis ``W``, gradient, and steering direction at the
+        iterate: the box-projected gradient for a filter, ``B^T g`` for
+        coefficients."""
+        w = self.kernel.filtered_basis(self.f)
+        g = self.kernel.gradient(w, self.f)
         if self.basis is not None:
-            return b, g, self.basis.T @ g
+            return w, g, self.basis.T @ g
         cfg = self.config
         gp = g.copy()
         gp[(self.f >= cfg.tau_max - _BOUND_EPS) & (g > 0)] = 0.0
         gp[(self.f <= cfg.tau_min + _BOUND_EPS) & (g < 0)] = 0.0
-        return b, g, gp
+        return w, g, gp
 
-    def newton_direction(self, b: NDArray[np.float64],
+    def newton_direction(self, w: NDArray[np.float64],
                          g: NDArray[np.float64]) -> NDArray[np.float64] | None:
         """Regularized Newton direction, frozen on the active lower bound.
 
@@ -237,7 +241,7 @@ class _RunState:
             if not free.any():
                 return None
         try:
-            return self.kernel.newton(b, self.f, g, cfg.alpha, self.basis, free)
+            return self.kernel.newton(w, self.f, g, cfg.alpha, self.basis, free)
         except SingularSystem:
             return None
 
@@ -284,7 +288,7 @@ def optimize(camera: SensorSet, observer: SensorSet,
     termination = "max_iters"
 
     for it in range(1, cfg.max_iters + 1):
-        b, g, g_steer = state.derivatives()
+        w, g, g_steer = state.derivatives()
         grad_norm = float(np.max(np.abs(g_steer)))
         if it == 1:
             rows.append(IterationRecord(0, state.value, state.mu(), 0.0, grad_norm, 0))
@@ -296,7 +300,7 @@ def optimize(camera: SensorSet, observer: SensorSet,
         if cfg.method == "newton":
             # Newton races the plain ascent direction and wins ties: near the
             # optimum the damped Newton system can go quiet while g still climbs.
-            d_newton = state.newton_direction(b, g)
+            d_newton = state.newton_direction(w, g)
             res_n = None if d_newton is None else state.line_search(d_newton)
             if res_n is not None and (best is None or res_n[2] >= best[2]):
                 best = res_n

@@ -27,7 +27,7 @@ from vorafilter import (
     newton_step,
     resample_to_grid,
 )
-from vorafilter.calculus import _vora_hessian_raw
+from vorafilter.calculus import _hessian_factors, _vora_hessian_raw
 from vorafilter.optimize import _RunState
 from vorafilter.projectors import orthonormal_columns
 
@@ -269,38 +269,44 @@ class TestFloorHuggingFilters:
         assert np.max(np.abs(g + h @ f)) < 1e-8
 
 
-@pytest.mark.parametrize("n", [31, 301])
-@pytest.mark.parametrize("floor", [False, True], ids=["random", "floor"])
-@pytest.mark.parametrize("kind, k", [("identity", None), ("cosine", 8)])
-def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
-    """Every derivative consumer returns exactly what the public gradient
-    and Hessian give at the same filter, so none can drift from the rest."""
+def fine_grid_instance(cie_table, n, floor):
+    """The CIE observer and the Gaussian camera on an n-sample 400-700 nm
+    grid, and a random filter in [0.3, 1] (ten entries at 1e-4 if floor)."""
     grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
     observer = SensorSet(grid=grid, responses=resample_to_grid(
         cie_table.wavelengths, cie_table.values, grid))
-    camera = gaussian_camera(grid)
-    basis = make_basis(kind, k or n, grid)
     rng = np.random.default_rng(n)
     target = rng.uniform(0.3, 1.0, n)
     if floor:
         target[rng.permutation(n)[:10]] = 1e-4
-    if kind == "identity":
-        coeffs = target
-    else:
-        coeffs, *_ = np.linalg.lstsq(basis.basis, target, rcond=None)
-        # The constant atom shifts B c uniformly: lift its minimum to min(target).
-        coeffs[0] += target.min() - (basis.basis @ coeffs).min()
+    return grid, gaussian_camera(grid), observer, target
+
+
+def basis_coefficients(basis, target):
+    """Coefficients of a strictly positive ``B c`` close to ``target``."""
+    if basis.kind == "identity":
+        return target
+    coeffs, *_ = np.linalg.lstsq(basis.basis, target, rcond=None)
+    # The constant atom shifts B c uniformly: lift its minimum to min(target).
+    coeffs[0] += target.min() - (basis.basis @ coeffs).min()
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [31, 301])
+@pytest.mark.parametrize("floor", [False, True], ids=["random", "floor"])
+@pytest.mark.parametrize("kind, k", [("identity", None), ("cosine", 8)])
+def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
+    """Consumers that share one code path return exactly the same numbers,
+    so none can drift from the rest."""
+    grid, camera, observer, target = fine_grid_instance(cie_table, n, floor)
+    basis = make_basis(kind, k or n, grid)
+    coeffs = basis_coefficients(basis, target)
     f = basis.basis @ coeffs
     filt = FilterSpectrum(grid=grid, transmittance=f, tau_min=1e-12, tau_max=np.inf)
     cols, alpha = basis.basis, 1e-4
 
     g = gradient(camera, observer, filt).values
-    h = hessian(camera, observer, filt, alpha=alpha).matrix
     assert np.array_equal(gradient_in_basis(camera, observer, basis, coeffs), cols.T @ g)
-    assert np.array_equal(hessian_in_basis(camera, observer, basis, coeffs, alpha),
-                          cols.T @ h @ cols)
-    assert np.array_equal(newton_step(camera, observer, filt, alpha),
-                          np.linalg.solve(h, -(g + alpha * f)))
 
     # The optimizer's Newton direction at the same filter, every component free.
     full = kind == "identity"
@@ -308,11 +314,45 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
                              basis=None if full else basis)
     state = _RunState(camera, observer, config, None)
     state.x, state.f = (f, f) if full else (coeffs, f)
-    b, g_state, _ = state.derivatives()
-    direction = state.newton_direction(b, g_state)
+    w, g_state, _ = state.derivatives()
+    direction = state.newton_direction(w, g_state)
     if full:
         assert np.array_equal(direction, newton_step(camera, observer, filt, alpha))
     else:
         h_basis = hessian_in_basis(camera, observer, basis, coeffs, alpha)
         assert np.array_equal(direction,
                               np.linalg.solve(h_basis, cols.T @ -(g + alpha * f)))
+
+
+@pytest.mark.parametrize("n", [31, 301, 601])
+@pytest.mark.parametrize("floor", [False, True], ids=["random", "floor"])
+@pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1e-4])
+def test_factored_operator_matches_dense_assembly(cie_table, n, floor, alpha):
+    """``diag(d) + U U^T`` is the dense ``H + alpha I``, and the Woodbury
+    Newton solve on it is backward stable and agrees with the dense solve."""
+    grid, camera, observer, f = fine_grid_instance(cie_table, n, floor)
+    filt = FilterSpectrum(grid=grid, transmittance=f, tau_min=1e-12, tau_max=np.inf)
+    dense = hessian(camera, observer, filt, alpha=alpha).matrix
+
+    w = orthonormal_columns(f[:, None] * camera.responses)
+    d, u = _hessian_factors(w, orthonormal_columns(observer.responses), f, alpha)
+    assert u.shape == (n, 9)
+    factored = np.diag(d) + u @ u.T
+    assert rel_err(factored, dense) <= 1e-12
+
+    basis = make_basis("cosine", 8, grid)
+    coeffs = basis_coefficients(basis, f)
+    smooth = FilterSpectrum(grid=grid, transmittance=basis.basis @ coeffs,
+                            tau_min=1e-12, tau_max=np.inf)
+    dense_basis = (basis.basis.T @ hessian(camera, observer, smooth, alpha=alpha).matrix
+                   @ basis.basis)
+    assert rel_err(hessian_in_basis(camera, observer, basis, coeffs, alpha),
+                   dense_basis) <= 1e-12
+
+    rhs = -(gradient(camera, observer, filt).values + alpha * f)
+    step = newton_step(camera, observer, filt, alpha)
+    backward = (np.linalg.norm(factored @ step - rhs)
+                / (np.linalg.norm(factored, 2) * np.linalg.norm(step) + np.linalg.norm(rhs)))
+    assert backward <= 1e-14
+    reference = np.linalg.solve(dense, rhs)
+    assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(reference)

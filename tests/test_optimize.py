@@ -82,19 +82,27 @@ class TestNewtonStep:
 
 
 class TestSingularNewtonSystem:
-    """With ``H + alpha I`` exactly zero the Newton system has no solution."""
+    """With ``H + alpha I = diag(d) + U U^T`` exactly zero the Newton system
+    has no solution."""
 
     ALPHA = 1e-4
 
     @pytest.fixture
     def singular(self, monkeypatch):
         import vorafilter.calculus as calculus
-        monkeypatch.setattr(calculus, "_vora_hessian_raw",
-                            lambda b, a, f: -self.ALPHA * np.eye(f.size))
+        calls = []
+
+        def zero_factors(w, v, f, alpha):
+            calls.append(f.size)
+            return np.zeros(f.size), np.zeros((f.size, 9))
+
+        monkeypatch.setattr(calculus, "_hessian_factors", zero_factors)
+        return calls
 
     def test_newton_step_raises(self, singular, camera, observer):
         with pytest.raises(SingularSystem):
             newton_step(camera, observer, make_random_filter(4), self.ALPHA)
+        assert singular == [N]
 
     @pytest.mark.parametrize("basis", [None, "cosine"])
     def test_optimizer_falls_back_to_the_gradient(self, singular, camera,
@@ -106,6 +114,34 @@ class TestSingularNewtonSystem:
         voras = [r.vora for r in report.iterations]
         assert len(voras) > 2
         assert all(b > a for a, b in zip(voras, voras[1:]))
+        # Every accepted step tried the singular Newton system first.
+        assert len(singular) >= report.accepted_steps
+
+
+class TestWoodburyFallback:
+    """A Woodbury solve that cannot be trusted is redone densely."""
+
+    def test_zero_in_d_gives_the_dense_solve(self, monkeypatch, camera, observer):
+        import vorafilter.calculus as calculus
+        real_factors = calculus._hessian_factors
+        alpha = 1e-4
+
+        def zero_pivot(w, v, f, alpha):
+            d, u = real_factors(w, v, f, alpha)
+            d[5] = 0.0  # D^-1 is not finite, diag(d) + U U^T stays nonsingular
+            return d, u
+
+        monkeypatch.setattr(calculus, "_hessian_factors", zero_pivot)
+        filt = make_random_filter(5)
+        f = filt.transmittance
+        step = newton_step(camera, observer, filt, alpha)
+
+        w = calculus.orthonormal_columns(f[:, None] * camera.responses)
+        d, u = zero_pivot(w, calculus.orthonormal_columns(observer.responses), f, alpha)
+        operator = np.diag(d) + u @ u.T
+        assert np.linalg.cond(operator) < 1e12
+        rhs = -(gradient(camera, observer, filt).values + alpha * f)
+        assert np.array_equal(step, np.linalg.solve(operator, rhs))
 
 
 class TestOptimizeColorimetric:

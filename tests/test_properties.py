@@ -1,0 +1,50 @@
+"""Property tests: the factored derivative operator on random cameras and grids.
+
+Hypothesis draws the grid size, two random three-lobe cameras (one serves as
+the observer) and a filter with some entries at the transmittance floor
+``tau_min``. The examples are derandomized, so every run checks the same ones.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import make_random_camera
+from vorafilter import FilterSpectrum, WavelengthGrid, gradient, hessian
+from vorafilter.calculus import _hessian_factors
+from vorafilter.projectors import orthonormal_columns
+
+TAU_MIN = 1e-4
+
+instances = st.fixed_dictionaries({
+    "n": st.integers(min_value=4, max_value=150),
+    "seed": st.integers(min_value=0, max_value=2**31 - 1),
+    "floor_frac": st.floats(min_value=0.0, max_value=0.5),
+    "alpha": st.sampled_from([0.0, 1e-6, 1e-4]),
+})
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(instances)
+def test_factored_operator_identities(case):
+    n, seed = case["n"], case["seed"]
+    grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
+    camera = make_random_camera(seed, grid)
+    observer = make_random_camera(seed + 1, grid)
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(0.2, 1.0, n)
+    f[rng.permutation(n)[:int(case["floor_frac"] * n)]] = TAU_MIN
+    filt = FilterSpectrum(grid=grid, transmittance=f, tau_min=TAU_MIN)
+
+    w = orthonormal_columns(f[:, None] * camera.responses)
+    v = orthonormal_columns(observer.responses)
+    d, u = _hessian_factors(w, v, f, case["alpha"])
+    dense = hessian(camera, observer, filt, alpha=case["alpha"]).matrix
+    factored = np.diag(d) + u @ u.T
+    assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    g = gradient(camera, observer, filt).values
+    assert abs(float(f @ g)) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
+    d0, u0 = _hessian_factors(w, v, f, 0.0)
+    assert np.max(np.abs(g + d0 * f + u0 @ (u0.T @ f))) < 1e-8
