@@ -22,9 +22,11 @@ observer. With ``M = W^T V`` (3 x 3), ``R = W M`` and ``Z = V - 2R`` (so that
 
 where ``(x)`` is the row-wise Kronecker product, so ``U`` is n x 9. The
 optimizer and every derivative consumer work from these factors: a gradient
-costs O(n) and a Newton solve O(81 n), by Sherman-Morrison-Woodbury with a
-9 x 9 capacitance matrix. No n x n matrix is formed on that path, except by
-the dense fallback taken when a Woodbury solve's residual is not small.
+costs O(n), the closed-form Newton step O(81 n) by Sherman-Morrison-Woodbury
+with a 9 x 9 capacitance matrix, and each product with the operator in the
+optimizer's trust-region solve O(9 n). No n x n matrix is formed on that
+path, except by the dense fallback taken when a Woodbury solve's residual is
+not small.
 
 The dense assembly above is kept in :func:`hessian` alone, as its public
 output and as the oracle the factored operator is checked against. Its
@@ -254,24 +256,14 @@ class _Kernel:
         return (2.0 / 3.0) * np.einsum("ij,ij->i", r, self.v - r) / f
 
     def newton(self, w: NDArray[np.float64], f: NDArray[np.float64], g: NDArray[np.float64],
-               alpha: float, basis: NDArray[np.float64] | None = None,
-               free: NDArray[np.bool_] | None = None) -> NDArray[np.float64]:
-        """The one Newton solve, ``(H + alpha I) s = -(g + alpha f)``, by
-        Woodbury on the factors. A ``basis`` ``B`` turns it into the k x k
-        system ``B^T (H + alpha I) B c = B^T rhs``; a ``free`` mask solves for
-        those components only (rows of ``d``, ``U`` and ``rhs``), the rest of
-        the step staying zero. Raises :class:`SingularSystem` when the system
-        is singular."""
+               alpha: float) -> NDArray[np.float64]:
+        """The paper's regularized Newton step, ``(H + alpha I) s = -(g + alpha f)``,
+        solved by Woodbury on the factors; the primitive behind
+        :func:`newton_step` and the closed-form checks. Raises
+        :class:`SingularSystem` when the system is singular."""
         d, u = _hessian_factors(w, self.v, f, alpha)
-        rhs = -(g + alpha * f)
         try:
-            if basis is not None:
-                return np.linalg.solve(_basis_hessian(d, u, basis), basis.T @ rhs)
-            if free is None or free.all():
-                return _woodbury_solve(d, u, rhs)
-            step = np.zeros_like(rhs)
-            step[free] = _woodbury_solve(d[free], u[free], rhs[free])
-            return step
+            return _woodbury_solve(d, u, -(g + alpha * f))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 

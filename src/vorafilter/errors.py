@@ -61,4 +61,4 @@ class AsymmetricHessian(VoraFilterError, ArithmeticError):
 
 
 class NoAscent(VoraFilterError):
-    """The very first line search failed to find any improving step."""
+    """The first optimizer iteration found no improving step."""

@@ -1,4 +1,4 @@
-"""Filter optimization: projected gradient ascent and regularized Newton.
+"""Filter optimization: projected gradient ascent and trust-region Newton.
 
 Both methods maximize the filtered Vora-Value over the box
 ``[tau_min, tau_max]^n``. A run keeps one iterate ``x``: the filter, or its
@@ -8,22 +8,48 @@ that scales it to maximum transmittance ``tau_max`` and returns its filter:
 clipped into the box for a filter, rejected for coefficients whose filter
 leaves it. The gauge step never changes the objective.
 
-The Newton direction solves ``(H + alpha I) d = -(g + alpha f)`` on the
-components not pinned at an active bound. A positive ``alpha`` is required:
-at ``alpha = 0`` the step collapses onto the current filter itself and
-carries no search information. Every candidate step must strictly increase
-the objective, so reported traces are monotone by construction.
+``grad`` backtracks along the box-projected gradient. ``newton`` is a
+trust-region Newton method (Steihaug 1983; Conn, Gould & Toint 2000). For a
+filter the box itself is the feasible set: every ray through it has a point
+in the box. Components on a bound whose gradient points out of the box are
+frozen; each step maximizes the value's second-order model ``g.s + s.H s / 2``
+over the other coordinates within the trust radius and is then projected
+onto the box, and the gain predicted for the projected step is weighed
+against the actual gain to adapt the radius. Along the filter itself the
+value is flat (``f.g = 0``, ``H f = -g``), so when nothing is frozen the peak,
+which the gauge holds at ``tau_max``, is held fixed too: a chart of the
+quotient by the scale (Absil, Mahony & Sepulchre 2008).
+
+In basis mode the step lies in ``c-perp``, the chart for coefficients ``c``.
+The box is a scale-free constraint there: ``f_i >= (tau_min / tau_max) f_j``
+for every pair of a row ``i`` and a row ``j`` of ``f = B c``. The pairs of a
+floor row and a peak row are the active ones; their multipliers, from
+nonnegative least squares, give the projected gradient the convergence test
+reads. Those with positive multipliers are held fixed, and so is any pair
+on the wall that cuts a step short; a step is cut back along its ray to the
+first pair it would break (Nocedal & Wright 2006, ch. 16).
+
+The trust region takes over where ``H`` is indefinite, as it is at the unit
+filter. The subproblem is solved by truncated conjugate gradients on the
+factored operator ``diag(d) + U U^T``, preconditioned by ``|d|``, so no
+n x n matrix is formed for a filter. The paper's ``alpha`` does not enter
+the step: the regularized ``mu = value + alpha |f|^2 / 2`` is not invariant
+under the scale, so it has no model on the quotient. ``alpha`` stays in the
+reported ``mu`` and in the closed-form :func:`newton_step`. Every accepted
+step must strictly increase the value, so reported traces are monotone by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .calculus import BasisSet, _Kernel
-from .errors import NoAscent, NonPositiveFilter, SingularSystem
+from .calculus import BasisSet, _basis_hessian, _hessian_factors, _Kernel
+from .errors import NoAscent, NonPositiveFilter
 # Not called here: bench/run.py traces QR calls through this module's name.
 from .projectors import orthonormal_columns  # noqa: F401
 from .spectral import FilterSpectrum, SensorSet
@@ -37,6 +63,23 @@ _BOUND_EPS = 1e-12
 # Backtracking line search: step factor per trial, and trials per search.
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 50
+# Newton trust region, as fractions of the iterate's norm: the first radius
+# and the largest. A trial whose actual/predicted gain ratio is below
+# _RATIO_LOW shrinks the radius to _RADIUS_SHRINK times its step; above
+# _RATIO_HIGH the radius grows to at least twice the step. At most
+# _MAX_BACKTRACKS trials are made per iteration.
+_RADIUS_INIT = 0.1
+_RADIUS_MAX = 1.0
+_RADIUS_SHRINK = 0.25
+_RATIO_LOW = 0.25
+_RATIO_HIGH = 0.75
+# Truncated CG stops once the preconditioned residual norm falls by this.
+_CG_TOL = 1e-10
+# Diagonal preconditioner entries are at least this fraction of the largest.
+_PRECOND_FLOOR = 1e-3
+# Singular values below this fraction of the largest count as zero when the
+# basis-mode chart is built.
+_NULL_TOL = 1e-10
 
 # A gauged iterate: (x, f), the iterate and the filter it stands for.
 _Gauged = tuple[NDArray[np.float64], NDArray[np.float64]]
@@ -66,8 +109,6 @@ class OptimizerConfig:
             raise ValueError("need 0 < tau_min < tau_max <= 1")
         if not 0.0 <= self.alpha < np.inf:
             raise ValueError("alpha must be finite and nonnegative")
-        if self.method == "newton" and self.alpha <= 0:
-            raise ValueError("newton method requires alpha > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (0.0 <= self.tol_obj < np.inf and 0.0 <= self.tol_grad < np.inf):
@@ -76,7 +117,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted step. ``step_len`` is the 2-norm of the raw step t*d."""
+    """One accepted step. ``step_len`` is the 2-norm of the raw step before
+    the gauge: ``t d`` of a line search, the trust-region step ``s`` of
+    Newton. ``backtracks`` counts the trials rejected on the way: halvings
+    of ``t``, or radius reductions."""
 
     iteration: int
     vora: float
@@ -128,6 +172,111 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     return kernel.newton(w, f, kernel.gradient(w, f), alpha)
 
 
+def _truncated_cg(hess: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+                  grad: NDArray[np.float64], precond: NDArray[np.float64],
+                  radius: float) -> NDArray[np.float64]:
+    """Steihaug-Toint truncated CG for ``max grad.s + s.H s / 2`` subject to
+    ``||s|| <= radius``; ``hess`` multiplies by ``H`` and ``precond`` is a
+    positive diagonal preconditioner.
+
+    The step ends on the boundary when it would leave the region or meets
+    curvature that is not negative, and inside it once the preconditioned
+    residual has fallen by ``_CG_TOL``. The region is measured in the
+    Euclidean norm, not in the preconditioner's, so the iterates' norms need
+    not grow and stopping at the first crossing can end short of the
+    Steihaug point: an approximation kept so that the radius means the same
+    for every preconditioner.
+    """
+    s = np.zeros_like(grad)
+    r = grad  # gradient of the model at s
+    z = r / precond
+    p = z
+    rz = float(r @ z)
+    stop = _CG_TOL**2 * rz
+    for _ in range(grad.size):
+        if not rz > stop:
+            break
+        hp = hess(p)
+        curv = float(p @ hp)
+        if curv < 0.0:
+            t = rz / -curv
+            s_next = s + t * p
+            if np.linalg.norm(s_next) < radius:
+                s = s_next
+                r = r + t * hp
+                z = r / precond
+                rz, rz_old = float(r @ z), rz
+                p = z + (rz / rz_old) * p
+                continue
+        # Move along p to the boundary: ||s + tau p|| = radius, tau >= 0.
+        sp, pp = float(s @ p), float(p @ p)
+        tau = (np.sqrt(sp * sp + pp * (radius * radius - float(s @ s))) - sp) / pp
+        return s + tau * p
+    return s
+
+
+def _preconditioner(diag: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``|diag|``, floored at ``_PRECOND_FLOOR`` times its largest entry."""
+    scale = np.abs(diag)
+    if not scale.any():
+        return np.ones_like(scale)
+    return np.maximum(scale, _PRECOND_FLOOR * scale.max())
+
+
+def _nnls(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The ``x >= 0`` minimizing ``|a x - b|``, by Lawson & Hanson's active
+    set method (1974)."""
+    x = np.zeros(a.shape[1])
+    passive = np.zeros(x.size, dtype=bool)
+    tol = 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
+    for _ in range(3 * x.size):
+        w = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        if not w.max() > tol:
+            break
+        passive[np.argmax(w)] = True
+        while passive.any():
+            z = np.zeros_like(x)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                x = z
+                break
+            # Step from x toward z until the first passive entry reaches 0.
+            out = passive & (z <= 0.0)
+            gap = x[out] - z[out]
+            x = x + np.min(np.divide(x[out], gap, out=np.zeros_like(gap),
+                                     where=gap > 0.0)) * (z - x)
+            passive &= x > 0.0
+            x[~passive] = 0.0
+    return x
+
+
+def _null_space(rows: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Orthonormal columns spanning the vectors orthogonal to every row."""
+    _, sv, vt = np.linalg.svd(rows)
+    return vt[int(np.sum(sv > _NULL_TOL * sv[0])):].T
+
+
+def _cut_back(f: NDArray[np.float64], u: NDArray[np.float64],
+              ratio: float) -> tuple[float, int, int]:
+    """Largest ``t`` in [0, 1] with ``min(f + t u) >= ratio max(f + t u)``,
+    and the rows of that min and max, given that ``t = 0`` qualifies.
+
+    The gap ``min - ratio max`` is concave and piecewise linear in ``t``, so
+    Newton's method from ``t = 1`` falls onto the answer from above in a few
+    steps.
+    """
+    t = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        ft = f + t * u
+        i, j = int(np.argmin(ft)), int(np.argmax(ft))
+        gap = ft[i] - ratio * ft[j]
+        if gap >= 0.0:
+            break
+        slope = u[i] - ratio * u[j]
+        t = max(t - gap / slope, 0.0) if slope < 0.0 else 0.0
+    return t, i, j
+
+
 class _RunState:
     """Innards of one optimization run: iterate ``x``, its filter ``f``, value."""
 
@@ -154,6 +303,7 @@ class _RunState:
             self.gauge = self._gauge_coeffs
             self.x, self.f = self._feasible_coeffs(f0)
         self.value = self.kernel.value(self.f)
+        self.radius = _RADIUS_INIT  # Newton trust region, relative to |x|
 
     def _feasible_coeffs(self, f0: NDArray[np.float64]) -> _Gauged:
         # Blend the fit of f0 toward the constant-filter fit until the
@@ -214,36 +364,126 @@ class _RunState:
 
     def derivatives(self) -> tuple[NDArray[np.float64], ...]:
         """Filtered camera basis ``W``, gradient, and steering direction at the
-        iterate: the box-projected gradient for a filter, ``B^T g`` for
-        coefficients."""
+        iterate: the gradient with its frozen components zeroed for a filter,
+        ``B^T g`` for coefficients. Newton reads its projected gradient from
+        :meth:`trust_subproblem` instead."""
         w = self.kernel.filtered_basis(self.f)
         g = self.kernel.gradient(w, self.f)
         if self.basis is not None:
             return w, g, self.basis.T @ g
+        return w, g, np.where(self._frozen(g), 0.0, g)
+
+    def _frozen(self, g: NDArray[np.float64]) -> NDArray[np.bool_]:
+        """Filter components on a bound of the box whose gradient points out."""
         cfg = self.config
-        gp = g.copy()
-        gp[(self.f >= cfg.tau_max - _BOUND_EPS) & (g > 0)] = 0.0
-        gp[(self.f <= cfg.tau_min + _BOUND_EPS) & (g < 0)] = 0.0
-        return w, g, gp
+        return (((self.f >= cfg.tau_max - _BOUND_EPS) & (g > 0.0))
+                | ((self.f <= cfg.tau_min + _BOUND_EPS) & (g < 0.0)))
 
-    def newton_direction(self, w: NDArray[np.float64],
-                         g: NDArray[np.float64]) -> NDArray[np.float64] | None:
-        """Regularized Newton direction, frozen on the active lower bound.
+    def trust_subproblem(self, w: NDArray[np.float64], g: NDArray[np.float64]):
+        """The Newton model at the iterate, as the projected gradient the
+        convergence test reads, and a map from a radius to the step and its
+        predicted gain (None when no coordinate is free).
 
-        Only the tau_min bound is treated as active: the upper bound is a
-        gauge artifact (rescaling relaxes it), so components riding it stay
-        in the solve. Basis mode solves for every coefficient.
+        The model is ``g.s + s.H s / 2`` in the chart of the iterate (see the
+        module docstring). For a filter the step is projected onto the box,
+        for coefficients cut back to the box, and the gain predicted for the
+        step so changed. The factors are computed once here, so each radius
+        costs CG iterations only.
         """
+        d, u = _hessian_factors(w, self.kernel.v, self.f, 0.0)
+        if self.basis is not None:
+            return self._wall_subproblem(_basis_hessian(d, u, self.basis),
+                                         self.basis.T @ g)
         cfg = self.config
-        free = None
-        if self.basis is None:
-            free = ~((self.f <= cfg.tau_min + _BOUND_EPS) & (g < 0.0))
-            if not free.any():
-                return None
-        try:
-            return self.kernel.newton(w, self.f, g, cfg.alpha, self.basis, free)
-        except SingularSystem:
-            return None
+        frozen = self._frozen(g)
+        steer = np.where(frozen, 0.0, g)
+        free = ~frozen
+        if free.all():
+            free[np.argmax(self.f)] = False
+        if not free.any():
+            return steer, None
+        d, u, grad = d[free], u[free], g[free]
+        lo, hi = cfg.tau_min - self.f[free], cfg.tau_max - self.f[free]
+        precond = _preconditioner(d)
+
+        def hess(p: NDArray[np.float64]) -> NDArray[np.float64]:
+            return d * p + u @ (u.T @ p)
+
+        def solve(radius: float) -> tuple[NDArray[np.float64], float]:
+            s = np.clip(_truncated_cg(hess, grad, precond, radius), lo, hi)
+            step = np.zeros_like(self.x)
+            step[free] = s
+            return step, float(grad @ s + 0.5 * (s @ hess(s)))
+
+        return steer, solve
+
+    def _wall_subproblem(self, h: NDArray[np.float64], grad: NDArray[np.float64]):
+        """:meth:`trust_subproblem` for coefficients, with Hessian ``h`` and
+        gradient ``grad`` in coefficient space.
+
+        Each pair of a floor row ``i`` and a peak row ``j`` of the filter
+        gives the constraint ``n.c >= 0`` with ``n = B_i - ratio B_j``. The
+        wall the steps stop at sits ``_BOUND_EPS`` above ``tau_min``, so that
+        rounding in the gauge never takes a filter row under ``tau_min``; the
+        cut-back allows rounding-sized slips past it, so that a held pair
+        whose step is zero only up to rounding does not block the step.
+        """
+        cfg, b, c, f = self.config, self.basis, self.x, self.f
+        floor = cfg.tau_min + _BOUND_EPS
+        ratio = floor / cfg.tau_max
+        cut_ratio = min(ratio, f.min() / f.max()) - 1e-3 * _BOUND_EPS / cfg.tau_max
+        rows_lo = np.flatnonzero(f <= floor + _BOUND_EPS)
+        rows_hi = np.flatnonzero(f >= cfg.tau_max - _BOUND_EPS)
+        pair_lo = np.repeat(rows_lo, rows_hi.size)
+        pair_hi = np.tile(rows_hi, rows_lo.size)
+        normals = b[pair_lo] - ratio * b[pair_hi]
+        held = _nnls(-normals.T, grad)
+        steer = grad + normals.T @ held
+        def chart(active: NDArray[np.bool_]) -> tuple[NDArray[np.float64], ...]:
+            z = _null_space(np.vstack([c, normals[active]]))
+            hz = z.T @ h @ z
+            return z, hz, z.T @ grad, _preconditioner(np.diag(hz))
+
+        held_chart = chart(held > 0.0)
+
+        def solve(radius: float) -> tuple[NDArray[np.float64], float]:
+            # A pair that cuts the step short from where it already is joins
+            # the held ones, and the step is solved again.
+            active = held > 0.0
+            z, hz, gz, precond = held_chart
+            for _ in range(active.size + 1):
+                s = z @ _truncated_cg(hz.__matmul__, gz, precond, radius)
+                t, i, j = _cut_back(f, b @ s, cut_ratio)
+                hit = (pair_lo == i) & (pair_hi == j) & ~active
+                if t == 1.0 or not hit.any():
+                    break
+                active |= hit
+                z, hz, gz, precond = chart(active)
+            s = t * s
+            return s, float(grad @ s + 0.5 * (s @ (h @ s)))
+
+        return steer, solve
+
+    def trust_region(self, solve: Callable[[float], tuple[NDArray[np.float64], float]]):
+        """First trust-region step that strictly increases the objective, as
+        (x, f, value, step_len, rejected trials); None if there is none."""
+        x_norm = float(np.linalg.norm(self.x))
+        radius = self.radius * x_norm
+        for rejected in range(_MAX_BACKTRACKS):
+            step, predicted = solve(radius)
+            step_len = float(np.linalg.norm(step))
+            # A step the model does not expect to gain is rejected untried.
+            gauged = self.gauge(self.x + step) if predicted > 0.0 else None
+            v_t = -np.inf if gauged is None else self.kernel.value(gauged[1])
+            ratio = -np.inf if gauged is None else (v_t - self.value) / predicted
+            if ratio < _RATIO_LOW:
+                radius = _RADIUS_SHRINK * step_len
+            elif ratio > _RATIO_HIGH:
+                radius = min(max(radius, 2.0 * step_len), _RADIUS_MAX * x_norm)
+            if v_t > self.value:
+                self.radius = radius / x_norm
+                return *gauged, v_t, step_len, rejected
+        return None
 
     # -- line search -------------------------------------------------------
 
@@ -273,12 +513,14 @@ def optimize(camera: SensorSet, observer: SensorSet,
     Termination labels:
 
     converged_grad  projected gradient inf-norm below ``tol_grad``
-    converged_obj   accepted improvements below ``tol_obj`` three in a row
+    converged_obj   accepted improvements below ``tol_obj`` three in a row,
+                    or, for Newton, no improving step while the model
+                    predicts a gain below ``tol_obj`` at the largest radius
     stalled         no improving step found after the first iteration
     max_iters       iteration budget exhausted
 
-    Raises :class:`NoAscent` if the very first line search fails while the
-    gradient is still meaningfully nonzero.
+    Raises :class:`NoAscent` if the first iteration finds no improving step
+    while the gradient is still meaningfully nonzero.
     """
     cfg = config if config is not None else OptimizerConfig()
     state = _RunState(camera, observer, cfg, initial_filter)
@@ -289,6 +531,9 @@ def optimize(camera: SensorSet, observer: SensorSet,
 
     for it in range(1, cfg.max_iters + 1):
         w, g, g_steer = state.derivatives()
+        solve = None
+        if cfg.method == "newton":
+            g_steer, solve = state.trust_subproblem(w, g)
         grad_norm = float(np.max(np.abs(g_steer)))
         if it == 1:
             rows.append(IterationRecord(0, state.value, state.mu(), 0.0, grad_norm, 0))
@@ -296,19 +541,20 @@ def optimize(camera: SensorSet, observer: SensorSet,
             termination = "converged_grad"
             break
 
-        best = state.line_search(g_steer)
         if cfg.method == "newton":
-            # Newton races the plain ascent direction and wins ties: near the
-            # optimum the damped Newton system can go quiet while g still climbs.
-            d_newton = state.newton_direction(w, g)
-            res_n = None if d_newton is None else state.line_search(d_newton)
-            if res_n is not None and (best is None or res_n[2] >= best[2]):
-                best = res_n
+            best = None if solve is None else state.trust_region(solve)
+        else:
+            best = state.line_search(g_steer)
 
         if best is None:
             if it == 1:
-                raise NoAscent("line search found no improving step at iteration 1")
+                raise NoAscent("no improving step at iteration 1")
+            # Newton's model may promise less than tol_obj anywhere in the
+            # largest region: the value is then resolved as far as it goes.
             termination = "stalled"
+            if solve is not None and (
+                    solve(_RADIUS_MAX * float(np.linalg.norm(state.x)))[1] < cfg.tol_obj):
+                termination = "converged_obj"
             break
 
         gain = best[2] - state.value

@@ -308,20 +308,52 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
     g = gradient(camera, observer, filt).values
     assert np.array_equal(gradient_in_basis(camera, observer, basis, coeffs), cols.T @ g)
 
-    # The optimizer's Newton direction at the same filter, every component free.
+    # The optimizer's trust-region step at the same filter, every component
+    # free: a step in the scale chart (for a filter the peak stays put, for
+    # coefficients the step is orthogonal to them) within the radius and the
+    # box, whose predicted gain is the value's quadratic model.
     full = kind == "identity"
     config = OptimizerConfig(method="newton", alpha=alpha, tau_min=1e-5,
                              basis=None if full else basis)
     state = _RunState(camera, observer, config, None)
     state.x, state.f = (f, f) if full else (coeffs, f)
     w, g_state, _ = state.derivatives()
-    direction = state.newton_direction(w, g_state)
+    _, solve = state.trust_subproblem(w, g_state)
+    dense = hessian(camera, observer, filt).matrix
+    h_basis = hessian_in_basis(camera, observer, basis, coeffs)
+    x_norm = np.linalg.norm(state.x)
     if full:
-        assert np.array_equal(direction, newton_step(camera, observer, filt, alpha))
+        free = np.arange(n) != np.argmax(f)
+        chart = np.eye(n)[:, free]
     else:
-        h_basis = hessian_in_basis(camera, observer, basis, coeffs, alpha)
-        assert np.array_equal(direction,
-                              np.linalg.solve(h_basis, cols.T @ -(g + alpha * f)))
+        chart = np.linalg.svd(coeffs[None, :])[2][1:].T  # orthonormal, spans c-perp
+    h_chart = chart.T @ (dense if full else h_basis) @ chart
+    g_chart = chart.T @ (g if full else cols.T @ g)
+    # Short of the optimum the model is not concave in the chart, or its
+    # maximizer lies beyond every radius tried, so the CG step ends on the
+    # boundary; only the box can shorten it.
+    radii = (1e-3 * x_norm, 0.1 * x_norm, 10.0 * x_norm)
+    assert (np.linalg.eigvalsh(h_chart).max() > 0.0
+            or np.linalg.norm(np.linalg.solve(h_chart, g_chart)) > radii[-1])
+    for radius in radii:
+        step, predicted = solve(radius)
+        assert np.linalg.norm(step - chart @ (chart.T @ step)) <= 1e-12 * np.linalg.norm(step)
+        assert np.linalg.norm(step) <= radius * (1.0 + 1e-12)
+        if full:
+            trial = f + step
+            assert np.all((trial >= config.tau_min - 1e-15) & (trial <= config.tau_max))
+        else:
+            trial = cols @ (coeffs + step)
+            assert trial.min() >= config.tau_min / config.tau_max * trial.max()
+            if trial.min() > 2 * config.tau_min / config.tau_max * trial.max():
+                # Not cut back by the box, so the step fills the radius.
+                assert abs(np.linalg.norm(step) - radius) <= 1e-12 * radius
+        s_f = step if full else cols @ step
+        model = g @ s_f + 0.5 * (s_f @ (dense @ s_f))
+        assert abs(predicted - model) <= 1e-10 * abs(model)
+        if not full:
+            g_basis = cols.T @ g
+            assert predicted == float(g_basis @ step + 0.5 * (step @ (h_basis @ step)))
 
 
 @pytest.mark.parametrize("n", [31, 301, 601])

@@ -148,6 +148,18 @@ class TestOptimize:
         voras = [float(r.split(",")[1]) for r in rows]
         assert all(b >= a for a, b in zip(voras, voras[1:]))
 
+    def test_newton_at_default_alpha_converges(self, capsys):
+        code = main(["optimize", "--method", "newton", "--json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == 0
+        assert payload["termination"] in ("converged_grad", "converged_obj")
+
+    def test_newton_accepts_zero_alpha(self, capsys):
+        code = main(["optimize", "--method", "newton", "--alpha", "0", "--json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == 0
+        assert payload["termination"] in ("converged_grad", "converged_obj")
+
     def test_basis_coefficients_reconstruct_filter(self, capsys, tmp_path):
         out_filter = tmp_path / "filter.csv"
         code = main(["optimize", "--basis", "cosine:8", "--max-iters", "200",

@@ -13,14 +13,19 @@ from vorafilter import (
     OptimizerConfig,
     SensorSet,
     SingularSystem,
+    WavelengthGrid,
+    gaussian_camera,
     gradient,
+    gradient_in_basis,
     hessian,
     make_basis,
     newton_step,
     optimize,
     project_to_box,
+    resample_to_grid,
     vora_value,
 )
+from vorafilter.optimize import _RADIUS_INIT, _RunState, _cut_back, _nnls, _truncated_cg
 
 N = DEFAULT_GRID.count
 
@@ -89,7 +94,11 @@ class TestSingularNewtonSystem:
 
     @pytest.fixture
     def singular(self, monkeypatch):
+        import importlib
+
         import vorafilter.calculus as calculus
+        # The package's ``optimize`` function shadows the submodule.
+        optimize_module = importlib.import_module("vorafilter.optimize")
         calls = []
 
         def zero_factors(w, v, f, alpha):
@@ -97,6 +106,7 @@ class TestSingularNewtonSystem:
             return np.zeros(f.size), np.zeros((f.size, 9))
 
         monkeypatch.setattr(calculus, "_hessian_factors", zero_factors)
+        monkeypatch.setattr(optimize_module, "_hessian_factors", zero_factors)
         return calls
 
     def test_newton_step_raises(self, singular, camera, observer):
@@ -107,15 +117,28 @@ class TestSingularNewtonSystem:
     @pytest.mark.parametrize("basis", [None, "cosine"])
     def test_optimizer_falls_back_to_the_gradient(self, singular, camera,
                                                   observer, basis):
+        """With a zero model Hessian the trust step is the Cauchy step: the
+        gradient over the free coordinates (for a filter, the box-projected
+        gradient), scaled to the radius. The run still climbs."""
         cfg = OptimizerConfig(
             method="newton", alpha=self.ALPHA, max_iters=30,
             basis=None if basis is None else make_basis(basis, 8, DEFAULT_GRID))
         report = optimize(camera, observer, cfg)
         voras = [r.vora for r in report.iterations]
-        assert len(voras) > 2
+        assert report.termination == "max_iters"
         assert all(b > a for a, b in zip(voras, voras[1:]))
-        # Every accepted step tried the singular Newton system first.
-        assert len(singular) >= report.accepted_steps
+        # One factorization per iteration, however many radii it tried.
+        assert len(singular) == report.accepted_steps == cfg.max_iters
+
+        state = _RunState(camera, observer, cfg, None)
+        w, g, grad = state.derivatives()
+        if basis is not None:  # the chart is c-perp
+            grad -= state.x * (state.x @ grad) / (state.x @ state.x)
+        radius = 1e-2 * np.linalg.norm(state.x)
+        step, predicted = state.trust_subproblem(w, g)[1](radius)
+        cauchy = radius * grad / np.linalg.norm(grad)
+        assert np.max(np.abs(step - cauchy)) <= 1e-12 * np.max(np.abs(cauchy))
+        assert predicted == pytest.approx(float(grad @ step), rel=1e-12)
 
 
 class TestWoodburyFallback:
@@ -142,6 +165,161 @@ class TestWoodburyFallback:
         assert np.linalg.cond(operator) < 1e12
         rhs = -(gradient(camera, observer, filt).values + alpha * f)
         assert np.array_equal(step, np.linalg.solve(operator, rhs))
+
+
+class TestTrustRegionNewton:
+    """Newton on the quotient by the scale gauge, in a trust region."""
+
+    def test_interior_step_is_the_newton_step_in_the_chart(self, camera, observer):
+        # Near the optimum the value's Hessian is negative definite in the
+        # scale chart (all coordinates but the peak), so a large radius
+        # leaves the Newton step of the value there: H_FF s_F = -g_F.
+        optimum = optimize(camera, observer, OptimizerConfig(method="newton"))
+        rng = np.random.default_rng(3)
+        f = optimum.final_filter.transmittance * (1.0 + 0.01 * rng.standard_normal(N))
+        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f / f.max())
+        state = _RunState(camera, observer, OptimizerConfig(method="newton"), filt)
+        w, g, _ = state.derivatives()
+        step, predicted = state.trust_subproblem(w, g)[1](10.0 * np.linalg.norm(state.f))
+        free = np.arange(N) != np.argmax(state.f)
+        h = hessian(camera, observer, filt).matrix
+        newton = np.zeros(N)
+        newton[free] = np.linalg.solve(h[np.ix_(free, free)], -g[free])
+        assert np.linalg.norm(newton) < np.linalg.norm(state.f)
+        assert np.linalg.norm(step - newton) <= 1e-10 * np.linalg.norm(newton)
+        assert predicted == pytest.approx(0.5 * float(g @ newton), rel=1e-9)
+
+    def test_truncated_cg_solves_the_trust_region_model(self):
+        grad = np.array([1.0, 1.0])
+        ones = np.ones(2)
+        # Concave: the maximizer -H^-1 g when it fits, else the boundary.
+        concave = np.array([-1.0, -2.0]).__mul__
+        assert np.allclose(_truncated_cg(concave, grad, ones, 10.0), [1.0, 0.5],
+                           rtol=1e-12)
+        assert np.linalg.norm(_truncated_cg(concave, grad, ones, 0.5)) == pytest.approx(0.5)
+        # Indefinite: unbounded above, so the step always reaches the boundary.
+        saddle = np.array([-2.0, 1.0]).__mul__
+        assert np.linalg.norm(_truncated_cg(saddle, grad, ones, 10.0)) == pytest.approx(10.0)
+
+    def test_radius_follows_the_gain_ratio(self, camera, observer):
+        report = optimize(camera, observer, OptimizerConfig(method="newton"))
+        steps = [row.step_len for row in report.iterations[1:]]
+        # H is indefinite at the unit filter: the first step fills the radius.
+        assert steps[0] == pytest.approx(_RADIUS_INIT * np.sqrt(N), rel=1e-12)
+        assert max(steps) > steps[0]  # grown after good ratios
+        random_start = optimize(camera, observer,
+                                OptimizerConfig(method="newton", init="random", seed=2))
+        assert any(row.backtracks for row in random_start.iterations)  # and cut
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_converges_with_an_active_floor(self, observer, seed):
+        # A high floor: at the optimum many components sit on tau_min and
+        # several share the peak. Newton must still reach a stationary point,
+        # at least as high as the gradient method's plateau.
+        from conftest import make_random_camera
+        camera = make_random_camera(1000 + seed)
+        config = OptimizerConfig(method="newton", tau_min=0.3, init="random", seed=seed)
+        report = optimize(camera, observer, config)
+        plateau = optimize(camera, observer, OptimizerConfig(
+            method="grad", tau_min=0.3, init="random", seed=seed)).final_vora
+        assert report.termination == "converged_grad"
+        assert report.accepted_steps <= 40
+        assert report.final_filter.transmittance.min() == config.tau_min
+        assert report.final_vora >= plateau
+
+    def test_alpha_only_weights_the_reported_mu(self, camera, observer):
+        # The step is taken on the value's model; alpha = 0 is a valid choice.
+        runs = [optimize(camera, observer, OptimizerConfig(method="newton", alpha=a))
+                for a in (0.0, 1e-4)]
+        for a, b in zip(*(run.iterations for run in runs)):
+            assert (a.vora, a.step_len, a.grad_inf_norm, a.backtracks) == (
+                b.vora, b.step_len, b.grad_inf_norm, b.backtracks)
+            assert a.mu == a.vora != b.mu
+        assert len(runs[0].iterations) == len(runs[1].iterations)
+
+    @pytest.mark.parametrize("n, seed, kind, k, race", [
+        (61, 1, "gaussian", 12, 0.9671412419705184),
+        (31, 1, "gaussian", 12, 0.9765124044734406),
+        (31, 9, "cosine", 8, 0.9336433124032374),
+    ])
+    def test_basis_mode_slides_along_the_wall(self, cie_table, n, seed, kind, k, race):
+        # The optimum lies on the box wall: the filter touches tau_min, and
+        # B^T g stays large there, so only the gradient projected past the
+        # wall can vanish. ``race`` is where the Newton-vs-gradient race
+        # stopped on these problems.
+        from conftest import make_random_camera
+        grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
+        observer = SensorSet(grid=grid, responses=resample_to_grid(
+            cie_table.wavelengths, cie_table.values, grid))
+        camera = make_random_camera(1000 + seed, grid)
+        basis = make_basis(kind, k, grid)
+        config = OptimizerConfig(method="newton", basis=basis)
+        report = optimize(camera, observer, config)
+        assert report.termination == "converged_grad"
+        assert report.accepted_steps <= 40
+        assert report.final_vora >= race
+        assert report.final_filter.transmittance.min() <= config.tau_min + 2e-12
+        assert np.max(np.abs(gradient_in_basis(camera, observer, basis,
+                                               report.coefficients))) > 1e-4
+        voras = [row.vora for row in report.iterations]
+        assert all(b > a for a, b in zip(voras, voras[1:]))
+
+    def test_value_resolved_to_rounding_ends_converged_obj(self, observer):
+        # The projected gradient stops just above tol_grad: every further
+        # step gains less than the value can resolve, so no trial improves
+        # it, while the model promises less than tol_obj.
+        from conftest import make_random_camera
+        config = OptimizerConfig(method="newton",
+                                 basis=make_basis("cosine", 8, DEFAULT_GRID))
+        report = optimize(make_random_camera(1007), observer, config)
+        assert report.termination == "converged_obj"
+        assert config.tol_grad < report.iterations[-1].grad_inf_norm < 1e-7
+        gains = np.diff([row.vora for row in report.iterations])
+        assert np.any(gains[-3:] >= config.tol_obj)  # not three small gains in a row
+
+    def test_wall_helpers(self):
+        # The gap min(f + t u) - ratio max(f + t u) first closes where row 1
+        # falls to ratio times row 2, and the binding rows come back with t.
+        f, u = np.array([1.0, 0.5, 2.0]), np.array([0.0, -1.0, 1.0])
+        t, i, j = _cut_back(f, u, 0.1)
+        assert (i, j) == (1, 2) and t == pytest.approx(0.3 / 1.1, rel=1e-15)
+        assert _cut_back(f, -u, 0.1) == (1.0, 0, 1)
+        # Nonnegative least squares: the unconstrained fit (2, -1) moves to
+        # the best fit with a zero second entry.
+        a = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        b = a @ np.array([2.0, -1.0])
+        assert np.allclose(_nnls(a, b), [1.5, 0.0], atol=1e-15)
+        assert np.allclose(_nnls(a, a @ np.array([2.0, 1.0])), [2.0, 1.0], atol=1e-15)
+
+    def test_default_alpha_converges(self, camera, observer):
+        # The library and CLI default alpha = 1e-4 used to run into max_iters.
+        report = optimize(camera, observer, OptimizerConfig(method="newton"))
+        assert report.termination in ("converged_grad", "converged_obj")
+        assert report.accepted_steps <= 100
+        assert report.final_vora >= 0.99693617
+
+    def test_random_starts_reach_the_same_optimum(self, camera, observer):
+        finals = []
+        for seed in range(60):
+            report = optimize(camera, observer,
+                              OptimizerConfig(method="newton", init="random", seed=seed))
+            assert report.termination == "converged_grad", seed
+            assert report.accepted_steps <= 40, seed
+            finals.append(report.final_vora)
+        assert max(finals) - min(finals) <= 1e-12
+
+    def test_consistent_under_grid_refinement(self, cie_table):
+        finals = []
+        for n in (31, 61, 301, 601):
+            grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
+            observer = SensorSet(grid=grid, responses=resample_to_grid(
+                cie_table.wavelengths, cie_table.values, grid))
+            report = optimize(gaussian_camera(grid), observer,
+                              OptimizerConfig(method="newton"))
+            assert report.termination in ("converged_grad", "converged_obj"), n
+            assert report.accepted_steps <= 40, n
+            finals.append(report.final_vora)
+        assert max(finals) - min(finals) <= 1e-5
 
 
 class TestOptimizeColorimetric:
@@ -300,7 +478,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(tau_max=1.5)
         with pytest.raises(ValueError):
-            OptimizerConfig(method="newton", alpha=0.0)
+            OptimizerConfig(method="newton", alpha=-1e-4)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
