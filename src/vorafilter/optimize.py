@@ -1,4 +1,4 @@
-"""Filter optimization: projected gradient ascent and trust-region Newton.
+"""Filter optimization: projected gradient ascent and Newton, in one trust region.
 
 Both methods maximize the filtered Vora-Value over the box
 ``[tau_min, tau_max]^n``. A run keeps one iterate ``x``: the filter, or its
@@ -8,17 +8,20 @@ that scales it to maximum transmittance ``tau_max`` and returns its filter:
 clipped into the box for a filter, rejected for coefficients whose filter
 leaves it. The gauge step never changes the objective.
 
-``grad`` backtracks along the box-projected gradient. ``newton`` is a
-trust-region Newton method (Steihaug 1983; Conn, Gould & Toint 2000). For a
-filter the box itself is the feasible set: every ray through it has a point
-in the box. Components on a bound whose gradient points out of the box are
-frozen; each step maximizes the value's second-order model ``g.s + s.H s / 2``
-over the other coordinates within the trust radius and is then projected
-onto the box, and the gain predicted for the projected step is weighed
-against the actual gain to adapt the radius. Along the filter itself the
-value is flat (``f.g = 0``, ``H f = -g``), so when nothing is frozen the peak,
-which the gauge holds at ``tau_max``, is held fixed too: a chart of the
-quotient by the scale (Absil, Mahony & Sepulchre 2008).
+They are one trust-region iteration (Steihaug 1983; Conn, Gould & Toint
+2000) and differ only in the model. The value's Hessian is
+``H = diag(d) + U U^T`` with ``U`` of rank at most 9 (see
+:mod:`vorafilter.calculus`): ``newton`` models with ``H``, and ``grad`` with
+``diag(d)`` alone, a projected gradient ascent scaled by that diagonal. For
+a filter the box itself is the feasible set: every ray through it has a
+point in the box. Components on a bound whose gradient points out of the
+box are frozen; each step maximizes the second-order model
+``g.s + s.H s / 2`` over the other coordinates within the trust radius and
+is then projected onto the box, and the gain predicted for the projected
+step is weighed against the actual gain to adapt the radius. Along the
+filter itself the value is flat (``f.g = 0``, ``H f = -g``), so when nothing
+is frozen the peak, which the gauge holds at ``tau_max``, is held fixed too:
+a chart of the quotient by the scale (Absil, Mahony & Sepulchre 2008).
 
 In basis mode the step lies in ``c-perp``, the chart for coefficients ``c``.
 The box is a scale-free constraint there: ``f_i >= (tau_min / tau_max) f_j``
@@ -31,10 +34,10 @@ first pair it would break (Nocedal & Wright 2006, ch. 16).
 
 The trust region takes over where ``H`` is indefinite, as it is at the unit
 filter. The subproblem is solved by truncated conjugate gradients on the
-factored operator ``diag(d) + U U^T``, preconditioned by ``|d|``, so no
-n x n matrix is formed for a filter. The paper's ``alpha`` does not enter
-the step: the regularized ``mu = value + alpha |f|^2 / 2`` is not invariant
-under the scale, so it has no model on the quotient. ``alpha`` stays in the
+factored operator, preconditioned by ``|d|``, so no n x n matrix is formed
+for a filter. The paper's ``alpha`` does not enter the step: the
+regularized ``mu = value + alpha |f|^2 / 2`` is not invariant under the
+scale, so it has no model on the quotient. ``alpha`` stays in the
 reported ``mu`` and in the closed-form :func:`newton_step`. Every accepted
 step must strictly increase the value, so reported traces are monotone by
 construction.
@@ -60,14 +63,12 @@ _INITS = ("ones", "random")
 
 # Tolerance for deciding a component sits on a box bound.
 _BOUND_EPS = 1e-12
-# Backtracking line search: step factor per trial, and trials per search.
-_SHRINK = 0.5
+# Trust region, as fractions of the iterate's norm: the first radius and the
+# largest. A trial whose actual/predicted gain ratio is below _RATIO_LOW
+# shrinks the radius to _RADIUS_SHRINK times its step; above _RATIO_HIGH the
+# radius grows to at least twice the step. At most _MAX_BACKTRACKS trials are
+# made per iteration, and at most as many Newton steps per wall cut-back.
 _MAX_BACKTRACKS = 50
-# Newton trust region, as fractions of the iterate's norm: the first radius
-# and the largest. A trial whose actual/predicted gain ratio is below
-# _RATIO_LOW shrinks the radius to _RADIUS_SHRINK times its step; above
-# _RATIO_HIGH the radius grows to at least twice the step. At most
-# _MAX_BACKTRACKS trials are made per iteration.
 _RADIUS_INIT = 0.1
 _RADIUS_MAX = 1.0
 _RADIUS_SHRINK = 0.25
@@ -117,10 +118,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One accepted step. ``step_len`` is the 2-norm of the raw step before
-    the gauge: ``t d`` of a line search, the trust-region step ``s`` of
-    Newton. ``backtracks`` counts the trials rejected on the way: halvings
-    of ``t``, or radius reductions."""
+    """One accepted step. ``step_len`` is the 2-norm of the trust-region
+    step ``s`` before the gauge. ``backtracks`` counts the trials rejected
+    on the way, each of which shrank the radius."""
 
     iteration: int
     vora: float
@@ -303,7 +303,7 @@ class _RunState:
             self.gauge = self._gauge_coeffs
             self.x, self.f = self._feasible_coeffs(f0)
         self.value = self.kernel.value(self.f)
-        self.radius = _RADIUS_INIT  # Newton trust region, relative to |x|
+        self.radius = _RADIUS_INIT  # trust region, relative to |x|
 
     def _feasible_coeffs(self, f0: NDArray[np.float64]) -> _Gauged:
         # Blend the fit of f0 toward the constant-filter fit until the
@@ -352,7 +352,7 @@ class _RunState:
             return None
         return None if np.any(f < cfg.tau_min) else (c, f)
 
-    # -- objective and derivatives ---------------------------------------
+    # -- objective and model -----------------------------------------------
 
     def mu(self) -> float:
         # The stored value is the objective at f, so nothing is re-evaluated.
@@ -362,39 +362,33 @@ class _RunState:
     def coefficients(self) -> NDArray[np.float64] | None:
         return None if self.basis is None else self.x.copy()
 
-    def derivatives(self) -> tuple[NDArray[np.float64], ...]:
-        """Filtered camera basis ``W``, gradient, and steering direction at the
-        iterate: the gradient with its frozen components zeroed for a filter,
-        ``B^T g`` for coefficients. Newton reads its projected gradient from
-        :meth:`trust_subproblem` instead."""
-        w = self.kernel.filtered_basis(self.f)
-        g = self.kernel.gradient(w, self.f)
-        if self.basis is not None:
-            return w, g, self.basis.T @ g
-        return w, g, np.where(self._frozen(g), 0.0, g)
-
     def _frozen(self, g: NDArray[np.float64]) -> NDArray[np.bool_]:
         """Filter components on a bound of the box whose gradient points out."""
         cfg = self.config
         return (((self.f >= cfg.tau_max - _BOUND_EPS) & (g > 0.0))
                 | ((self.f <= cfg.tau_min + _BOUND_EPS) & (g < 0.0)))
 
-    def trust_subproblem(self, w: NDArray[np.float64], g: NDArray[np.float64]):
-        """The Newton model at the iterate, as the projected gradient the
+    def trust_subproblem(self):
+        """The model at the iterate, as the projected gradient the
         convergence test reads, and a map from a radius to the step and its
         predicted gain (None when no coordinate is free).
 
         The model is ``g.s + s.H s / 2`` in the chart of the iterate (see the
-        module docstring). For a filter the step is projected onto the box,
-        for coefficients cut back to the box, and the gain predicted for the
-        step so changed. The factors are computed once here, so each radius
-        costs CG iterations only.
+        module docstring), with ``H = diag(d) + U U^T`` for ``newton`` and
+        ``H = diag(d)`` for ``grad``. For a filter the step is projected onto
+        the box, for coefficients cut back to the box, and the gain predicted
+        for the step so changed. The factors are computed once here, so each
+        radius costs CG iterations only.
         """
+        cfg = self.config
+        w = self.kernel.filtered_basis(self.f)
+        g = self.kernel.gradient(w, self.f)
         d, u = _hessian_factors(w, self.kernel.v, self.f, 0.0)
+        if cfg.method == "grad":
+            u = u[:, :0]
         if self.basis is not None:
             return self._wall_subproblem(_basis_hessian(d, u, self.basis),
                                          self.basis.T @ g)
-        cfg = self.config
         frozen = self._frozen(g)
         steer = np.where(frozen, 0.0, g)
         free = ~frozen
@@ -485,25 +479,6 @@ class _RunState:
                 return *gauged, v_t, step_len, rejected
         return None
 
-    # -- line search -------------------------------------------------------
-
-    def line_search(self, direction: NDArray[np.float64]):
-        """First backtracked step that strictly increases the objective, as
-        (x, f, value, step_len, backtracks); None if there is none."""
-        d_norm = float(np.linalg.norm(direction))
-        if d_norm == 0.0 or not np.isfinite(d_norm):
-            return None
-        t = 1.0
-        for bt in range(_MAX_BACKTRACKS):
-            gauged = self.gauge(self.x + t * direction)
-            if gauged is not None:
-                x_t, f_t = gauged
-                v_t = self.kernel.value(f_t)
-                if v_t > self.value:
-                    return x_t, f_t, v_t, t * d_norm, bt
-            t *= _SHRINK
-        return None
-
 
 def optimize(camera: SensorSet, observer: SensorSet,
              config: OptimizerConfig | None = None,
@@ -514,8 +489,8 @@ def optimize(camera: SensorSet, observer: SensorSet,
 
     converged_grad  projected gradient inf-norm below ``tol_grad``
     converged_obj   accepted improvements below ``tol_obj`` three in a row,
-                    or, for Newton, no improving step while the model
-                    predicts a gain below ``tol_obj`` at the largest radius
+                    or no improving step while the model predicts a gain
+                    below ``tol_obj`` at the largest radius
     stalled         no improving step found after the first iteration
     max_iters       iteration budget exhausted
 
@@ -530,26 +505,20 @@ def optimize(camera: SensorSet, observer: SensorSet,
     termination = "max_iters"
 
     for it in range(1, cfg.max_iters + 1):
-        w, g, g_steer = state.derivatives()
-        solve = None
-        if cfg.method == "newton":
-            g_steer, solve = state.trust_subproblem(w, g)
-        grad_norm = float(np.max(np.abs(g_steer)))
+        steer, solve = state.trust_subproblem()
+        grad_norm = float(np.max(np.abs(steer)))
         if it == 1:
             rows.append(IterationRecord(0, state.value, state.mu(), 0.0, grad_norm, 0))
         if grad_norm < cfg.tol_grad:
             termination = "converged_grad"
             break
 
-        if cfg.method == "newton":
-            best = None if solve is None else state.trust_region(solve)
-        else:
-            best = state.line_search(g_steer)
+        best = None if solve is None else state.trust_region(solve)
 
         if best is None:
             if it == 1:
                 raise NoAscent("no improving step at iteration 1")
-            # Newton's model may promise less than tol_obj anywhere in the
+            # The model may promise less than tol_obj anywhere in the
             # largest region: the value is then resolved as far as it goes.
             termination = "stalled"
             if solve is not None and (

@@ -149,10 +149,12 @@ class TestOptimize:
         assert all(b >= a for a, b in zip(voras, voras[1:]))
 
     def test_newton_at_default_alpha_converges(self, capsys):
-        code = main(["optimize", "--method", "newton", "--json"])
-        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert code == 0
-        assert payload["termination"] in ("converged_grad", "converged_obj")
+        # Newton, and the default method when no --method is given.
+        for method in (["--method", "newton"], []):
+            code = main(["optimize", *method, "--json"])
+            payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert code == 0
+            assert payload["termination"] in ("converged_grad", "converged_obj")
 
     def test_newton_accepts_zero_alpha(self, capsys):
         code = main(["optimize", "--method", "newton", "--alpha", "0", "--json"])
