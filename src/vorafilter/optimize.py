@@ -12,8 +12,17 @@ They are one trust-region iteration (Steihaug 1983; Conn, Gould & Toint
 2000) and differ only in the model. The value's Hessian is
 ``H = diag(d) + U U^T`` with ``U`` of rank at most 9 (see
 :mod:`vorafilter.calculus`): ``newton`` models with ``H``, and ``grad`` with
-``diag(d)`` alone, a projected gradient ascent scaled by that diagonal. For
-a filter the box itself is the feasible set: every ray through it has a
+a diagonal, a projected gradient ascent scaled by it. That diagonal is
+``sigma D``, with ``D = |d|`` floored as in the CG preconditioner and
+``sigma = s.y / s.D s`` the Barzilai-Borwein scalar (Barzilai & Borwein
+1988) of the last step ``s`` and gradient change ``y``, both in filter
+space. It is ``diag(d)`` where ``sigma`` is not negative, as at the first
+iteration. A step on the ``sigma D`` model first tries the largest radius.
+From the unit filter with :func:`~vorafilter.gaussian_camera`, ``grad``
+takes 100-177 steps at n = 31 to 601, against Newton's 13 on the paper
+grid.
+
+For a filter the box itself is the feasible set: every ray through it has a
 point in the box. Components on a bound whose gradient points out of the
 box are frozen; each step maximizes the second-order model
 ``g.s + s.H s / 2`` over the other coordinates within the trust radius and
@@ -64,9 +73,10 @@ _INITS = ("ones", "random")
 # Tolerance for deciding a component sits on a box bound.
 _BOUND_EPS = 1e-12
 # Trust region, as fractions of the iterate's norm: the first radius and the
-# largest. A trial whose actual/predicted gain ratio is below _RATIO_LOW
-# shrinks the radius to _RADIUS_SHRINK times its step; above _RATIO_HIGH the
-# radius grows to at least twice the step. At most _MAX_BACKTRACKS trials are
+# largest, where each ``grad`` step on the Barzilai-Borwein model starts. A
+# trial whose actual/predicted gain ratio is below _RATIO_LOW shrinks the
+# radius to _RADIUS_SHRINK times its step; above _RATIO_HIGH the radius grows
+# to at least twice the step. At most _MAX_BACKTRACKS trials are
 # made per iteration, and at most as many Newton steps per wall cut-back.
 _MAX_BACKTRACKS = 50
 _RADIUS_INIT = 0.1
@@ -304,6 +314,7 @@ class _RunState:
             self.x, self.f = self._feasible_coeffs(f0)
         self.value = self.kernel.value(self.f)
         self.radius = _RADIUS_INIT  # trust region, relative to |x|
+        self.previous = None  # (x, g) at the last iterate, for grad's model
 
     def _feasible_coeffs(self, f0: NDArray[np.float64]) -> _Gauged:
         # Blend the fit of f0 toward the constant-filter fit until the
@@ -375,17 +386,19 @@ class _RunState:
 
         The model is ``g.s + s.H s / 2`` in the chart of the iterate (see the
         module docstring), with ``H = diag(d) + U U^T`` for ``newton`` and
-        ``H = diag(d)`` for ``grad``. For a filter the step is projected onto
-        the box, for coefficients cut back to the box, and the gain predicted
-        for the step so changed. The factors are computed once here, so each
-        radius costs CG iterations only.
+        the diagonal of :meth:`_spectral_diagonal` for ``grad``; in basis
+        mode ``B^T H B``. For a filter the step is projected onto the box,
+        for coefficients cut back to the box, and the gain predicted for the
+        step so changed. The factors are computed once here, so each radius
+        costs CG iterations only. Called once per iterate: ``grad`` keeps
+        the iterate and gradient for the next call's model.
         """
         cfg = self.config
         w = self.kernel.filtered_basis(self.f)
         g = self.kernel.gradient(w, self.f)
         d, u = _hessian_factors(w, self.kernel.v, self.f, 0.0)
         if cfg.method == "grad":
-            u = u[:, :0]
+            d, u = self._spectral_diagonal(g, d), u[:, :0]
         if self.basis is not None:
             return self._wall_subproblem(_basis_hessian(d, u, self.basis),
                                          self.basis.T @ g)
@@ -410,6 +423,33 @@ class _RunState:
             return step, float(grad @ s + 0.5 * (s @ hess(s)))
 
         return steer, solve
+
+    def _spectral_diagonal(self, g: NDArray[np.float64],
+                           d: NDArray[np.float64]) -> NDArray[np.float64]:
+        """``grad``'s model diagonal at the iterate with gradient ``g``.
+
+        From the last step ``s`` (in filter space: ``B s`` for coefficients)
+        and gradient change ``y``, ``sigma = s.y / s.D s`` in the metric of
+        ``D = _preconditioner(d)`` is the model's curvature along ``s``; when
+        it is negative the diagonal is ``sigma D`` and the next trust region
+        starts at its largest radius. Otherwise, and without a last step, it
+        is ``d``.
+        """
+        previous, self.previous = self.previous, (self.x, g)
+        if previous is None:
+            return d
+        s = self.x - previous[0]
+        if self.basis is not None:
+            s = self.basis @ s
+        scale = _preconditioner(d)
+        sds = float(s @ (scale * s))
+        if not sds > 0.0:
+            return d
+        sigma = float(s @ (g - previous[1])) / sds
+        if not sigma < 0.0:
+            return d
+        self.radius = _RADIUS_MAX
+        return sigma * scale
 
     def _wall_subproblem(self, h: NDArray[np.float64], grad: NDArray[np.float64]):
         """:meth:`trust_subproblem` for coefficients, with Hessian ``h`` and
