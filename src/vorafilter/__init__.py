@@ -19,6 +19,7 @@ from .calculus import (
     hessian,
     hessian_in_basis,
     make_basis,
+    newton_step,
 )
 from .errors import (
     AsymmetricHessian,
@@ -40,7 +41,6 @@ from .optimize import (
     IterationRecord,
     OptimizationReport,
     OptimizerConfig,
-    newton_step,
     optimize,
     project_to_box,
 )

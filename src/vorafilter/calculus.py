@@ -22,7 +22,8 @@ observer. With ``M = W^T V`` (3 x 3), ``R = W M`` and ``Z = V - 2R`` (so that
 
 where ``(x)`` is the row-wise Kronecker product, so ``U`` is n x 9. The
 optimizer and every derivative consumer work from these factors: a gradient
-costs O(n), the closed-form Newton step O(81 n) by Sherman-Morrison-Woodbury
+costs O(n), the paper's regularized Newton step (:func:`newton_step`,
+``(H + alpha I) s = -(g + alpha f)``) O(81 n) by Sherman-Morrison-Woodbury
 with a 9 x 9 capacitance matrix, and each product with the operator in the
 optimizer's trust-region solve O(9 n). No n x n matrix is formed on that
 path, except by the dense fallback taken when a Woodbury solve's residual is
@@ -34,9 +35,11 @@ expression is symmetric in exact arithmetic; assembly asymmetry beyond
 round-off is treated as a hard error (:class:`AsymmetricHessian`) rather than
 silently averaged away.
 
-Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`) are
-provided so every closed form can be verified independently; they are the
-acceptance authority for both derivative orders.
+Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`, one
+perturbation loop applied to a value or to a gradient) are provided so every
+closed form can be verified independently; they are the acceptance authority
+for both derivative orders. The optimizer (:mod:`vorafilter.optimize`) builds
+its models from the kernel and factors here and has no closed form of its own.
 """
 
 from __future__ import annotations
@@ -233,8 +236,7 @@ class _Kernel:
 
     The observer basis ``V`` is built once; each filter then costs one QR of
     ``diag(f) Q``, whose basis ``W`` the gradient and the Hessian factors
-    share. Nothing here forms an n x n matrix except the guarded dense
-    fallback of the Woodbury solve.
+    share. Nothing here forms an n x n matrix.
     """
 
     def __init__(self, camera: SensorSet, observer: SensorSet,
@@ -254,18 +256,6 @@ class _Kernel:
                  f: NDArray[np.float64]) -> NDArray[np.float64]:
         r = w @ (w.T @ self.v)
         return (2.0 / 3.0) * np.einsum("ij,ij->i", r, self.v - r) / f
-
-    def newton(self, w: NDArray[np.float64], f: NDArray[np.float64], g: NDArray[np.float64],
-               alpha: float) -> NDArray[np.float64]:
-        """The paper's regularized Newton step, ``(H + alpha I) s = -(g + alpha f)``,
-        solved by Woodbury on the factors; the primitive behind
-        :func:`newton_step` and the closed-form checks. Raises
-        :class:`SingularSystem` when the system is singular."""
-        d, u = _hessian_factors(w, self.v, f, alpha)
-        try:
-            return _woodbury_solve(d, u, -(g + alpha * f))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 
 
 def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -343,6 +333,49 @@ def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
                           basis.basis)
 
 
+def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
+                alpha: float) -> NDArray[np.float64]:
+    """The paper's regularized Newton step ``-(H + alpha I)^-1 (g + alpha f)``.
+
+    ``H + alpha I`` is a diagonal plus a rank-9 term, so the step is solved by
+    Sherman-Morrison-Woodbury in O(81 n) time and O(n) memory; no n x n
+    matrix or inverse is formed unless the residual check sends the solve to
+    its dense fallback. ``alpha`` must be positive: without regularization
+    the step degenerates to the current filter. Raises
+    :class:`SingularSystem` when the system is singular.
+    """
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite for a Newton step")
+    kernel = _Kernel(camera, observer, filt.grid)
+    f = filt.transmittance
+    w = kernel.filtered_basis(f)
+    d, u = _hessian_factors(w, kernel.v, f, alpha)
+    try:
+        return _woodbury_solve(d, u, -(kernel.gradient(w, f) + alpha * f))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
+
+
+def _central_differences(fn: Callable[[NDArray[np.float64]], float | NDArray[np.float64]],
+                         filt: FilterSpectrum | NDArray[np.float64],
+                         h: float) -> NDArray[np.float64]:
+    """Central differences of ``fn`` at a filter point: column ``i`` is
+    ``(fn(f + h e_i) - fn(f - h e_i)) / 2h``, stacked on the last axis."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    f = _as_filter_values(filt)
+    if float(f.min()) - h <= 0.0:
+        raise StepTooLarge(f"step {h:g} leaves the positive region at min(f)={f.min():g}")
+    columns = []
+    for i in range(f.size):
+        fp = f.copy()
+        fm = f.copy()
+        fp[i] += h
+        fm[i] -= h
+        columns.append((np.asarray(fn(fp)) - np.asarray(fn(fm))) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
 def fd_gradient(objective: Callable[[NDArray[np.float64]], float],
                 filt: FilterSpectrum | NDArray[np.float64],
                 h: float = FD_GRADIENT_STEP) -> NDArray[np.float64]:
@@ -350,36 +383,11 @@ def fd_gradient(objective: Callable[[NDArray[np.float64]], float],
 
     Independent of every closed form in this module; used to verify them.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    f = _as_filter_values(filt)
-    if float(f.min()) - h <= 0.0:
-        raise StepTooLarge(f"step {h:g} leaves the positive region at min(f)={f.min():g}")
-    g = np.empty_like(f)
-    for i in range(f.size):
-        fp = f.copy()
-        fm = f.copy()
-        fp[i] += h
-        fm[i] -= h
-        g[i] = (objective(fp) - objective(fm)) / (2.0 * h)
-    return g
+    return _central_differences(objective, filt, h)
 
 
 def fd_hessian(gradient_fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                filt: FilterSpectrum | NDArray[np.float64],
                h: float = FD_HESSIAN_STEP) -> NDArray[np.float64]:
     """Central-difference Jacobian of a gradient function at a filter point."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    f = _as_filter_values(filt)
-    if float(f.min()) - h <= 0.0:
-        raise StepTooLarge(f"step {h:g} leaves the positive region at min(f)={f.min():g}")
-    n = f.size
-    out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        fp = f.copy()
-        fm = f.copy()
-        fp[i] += h
-        fm[i] -= h
-        out[:, i] = (np.asarray(gradient_fn(fp)) - np.asarray(gradient_fn(fm))) / (2.0 * h)
-    return out
+    return _central_differences(gradient_fn, filt, h)

@@ -6,7 +6,9 @@ coefficients in a smoothness basis. The objective is invariant to rescaling
 the filter, so every trial iterate passes through one gauge, chosen per run,
 that scales it to maximum transmittance ``tau_max`` and returns its filter:
 clipped into the box for a filter, rejected for coefficients whose filter
-leaves it. The gauge step never changes the objective.
+leaves it. The gauge step never changes the objective. This module holds
+only the optimizer: the closed forms it models with, and the paper's
+regularized Newton step, are in :mod:`vorafilter.calculus`.
 
 They are one trust-region iteration (Steihaug 1983; Conn, Gould & Toint
 2000) and differ only in the model. The value's Hessian is
@@ -47,7 +49,8 @@ factored operator, preconditioned by ``|d|``, so no n x n matrix is formed
 for a filter. The paper's ``alpha`` does not enter the step: the
 regularized ``mu = value + alpha |f|^2 / 2`` is not invariant under the
 scale, so it has no model on the quotient. ``alpha`` stays in the
-reported ``mu`` and in the closed-form :func:`newton_step`. Every accepted
+reported ``mu`` and in the closed-form
+:func:`~vorafilter.calculus.newton_step`. Every accepted
 step must strictly increase the value, so reported traces are monotone by
 construction.
 """
@@ -146,7 +149,6 @@ class OptimizationReport:
 
     iterations: tuple[IterationRecord, ...]
     final_filter: FilterSpectrum
-    normalized_filter: NDArray[np.float64]
     initial_vora: float
     final_vora: float
     termination: str
@@ -156,30 +158,15 @@ class OptimizationReport:
     def accepted_steps(self) -> int:
         return self.iterations[-1].iteration if self.iterations else 0
 
+    @property
+    def normalized_filter(self) -> NDArray[np.float64]:
+        return self.final_filter.normalized
+
 
 def project_to_box(values: NDArray[np.float64], tau_min: float,
                    tau_max: float) -> NDArray[np.float64]:
     """Componentwise clamp into [tau_min, tau_max]."""
     return np.clip(np.asarray(values, dtype=np.float64), tau_min, tau_max)
-
-
-def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
-                alpha: float) -> NDArray[np.float64]:
-    """Regularized Newton step ``-(H + alpha I)^-1 (g + alpha f)``.
-
-    ``H + alpha I`` is a diagonal plus a rank-9 term (see
-    :mod:`vorafilter.calculus`), so the step is solved by Sherman-Morrison-
-    Woodbury in O(81 n) time and O(n) memory; no n x n matrix or inverse is
-    formed unless the residual check sends the solve to its dense fallback.
-    ``alpha`` must be positive: without regularization the step degenerates
-    to the current filter and the search learns nothing.
-    """
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite for a Newton step")
-    kernel = _Kernel(camera, observer, filt.grid)
-    f = filt.transmittance
-    w = kernel.filtered_basis(f)
-    return kernel.newton(w, f, kernel.gradient(w, f), alpha)
 
 
 def _truncated_cg(hess: Callable[[NDArray[np.float64]], NDArray[np.float64]],
@@ -580,7 +567,6 @@ def optimize(camera: SensorSet, observer: SensorSet,
     return OptimizationReport(
         iterations=tuple(rows),
         final_filter=final,
-        normalized_filter=state.f / float(state.f.max()),
         initial_vora=initial_vora,
         final_vora=state.value,
         termination=termination,

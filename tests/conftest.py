@@ -10,6 +10,7 @@ import pytest
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
+    GradientVector,
     SensorSet,
     WavelengthGrid,
     gaussian_camera,
@@ -63,6 +64,22 @@ def random_instances(count: int, start_seed: int = 100):
     """(camera, filter) pairs used by the derivative acceptance checks."""
     return [(make_random_camera(start_seed + i),
              make_random_filter(start_seed + i)) for i in range(count)]
+
+
+def sabotage_gradient(monkeypatch) -> None:
+    """Make ``vorafilter check`` see a gradient with 1e-3 added to ``g[0]``,
+    the negative control its identities must fail."""
+    import vorafilter.cli as cli
+
+    exact = cli.gradient
+
+    def sabotaged(camera, observer, filt):
+        g = exact(camera, observer, filt)
+        values = g.values.copy()
+        values[0] += 1e-3
+        return GradientVector(grid=g.grid, values=values)
+
+    monkeypatch.setattr(cli, "gradient", sabotaged)
 
 
 @pytest.fixture(scope="session")

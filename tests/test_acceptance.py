@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from conftest import make_random_camera, make_random_filter, random_instances
+from conftest import (make_random_camera, make_random_filter, random_instances,
+                      sabotage_gradient)
 from oracles import (
     conditioned_sensor_matrix,
     exact_vora,
@@ -234,7 +235,8 @@ def test_criterion_09_identity_filter_neutrality(camera, observer):
              f"scale deviation {scale_err:.3e} (tol 1e-12)")
 
 
-def test_criterion_10_cli_determinism_and_verification(tmp_path, capsys):
+def test_criterion_10_cli_determinism_and_verification(tmp_path, capsys,
+                                                       monkeypatch):
     traces = []
     for tag in ("a", "b"):
         trace = tmp_path / f"trace_{tag}.csv"
@@ -244,7 +246,8 @@ def test_criterion_10_cli_determinism_and_verification(tmp_path, capsys):
         assert code == 0
         traces.append(trace.read_bytes())
     check_ok = main(["check", "--trials", "20"])
-    check_sabotaged = main(["check", "--trials", "3", "--sabotage"])
+    sabotage_gradient(monkeypatch)
+    check_sabotaged = main(["check", "--trials", "3"])
     capsys.readouterr()
     ok = (traces[0] == traces[1] and check_ok == 0 and check_sabotaged == 4)
     _verdict(10, "byte-identical reruns; check passes, sabotage fails", ok,

@@ -8,12 +8,13 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import cie_csv_text
+from conftest import cie_csv_text, sabotage_gradient
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
     format_spectral_csv,
     make_basis,
+    optimize,
     vora_value,
 )
 from vorafilter.cli import main
@@ -194,6 +195,44 @@ class TestOptimize:
         assert code == 3
         assert "termination: stalled" in out
 
+    def test_no_ascent_exits_3(self, capsys, colorimetric_path):
+        # A colorimetric camera is already at the optimum, so with no
+        # gradient tolerance the first iteration finds no improving step.
+        code = main(["optimize", "--camera", str(colorimetric_path),
+                     "--tol-grad", "0"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: no improving step at iteration 1\n"
+
+    def test_no_flags_run_the_library_defaults(self, capsys, camera, observer):
+        code = main(["optimize", "--json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        report = optimize(camera, observer)
+        assert code == 0
+        assert payload["final_vora"] == report.final_vora
+        assert payload["iterations"] == report.accepted_steps
+        assert payload["termination"] == report.termination
+
+    @pytest.mark.parametrize("flag, spec", [("--grid", "400:10"),
+                                            ("--basis", "cosine")])
+    def test_malformed_spec_exits_2_naming_it(self, capsys, flag, spec):
+        code = main(["optimize", flag, spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert repr(spec) in err
+
+    def test_non_numeric_filter_cell_exits_2_naming_path_and_line(self, capsys,
+                                                                  tmp_path):
+        lines = format_spectral_csv(DEFAULT_GRID.wavelengths, np.full(31, 0.5),
+                                    ("transmittance",)).splitlines()
+        lines[5] = lines[5].split(",")[0] + ",abc"
+        path = tmp_path / "filter.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["optimize", "--filter", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: line 6" in err
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_2_naming_the_field(self, capsys, alpha):
         code = main(["optimize", "--method", "newton", "--alpha", alpha])
@@ -238,11 +277,18 @@ class TestCheck:
         assert code == 0
         assert "identity" in out.splitlines()[0]
 
-    def test_sabotage_negative_control(self, capsys):
-        code = main(["check", "--trials", "3", "--sabotage"])
+    def test_sabotage_negative_control(self, capsys, monkeypatch):
+        sabotage_gradient(monkeypatch)
+        code = main(["check", "--trials", "3"])
         out = capsys.readouterr().out
         assert code == 4
         assert "FAIL" in out
+
+    def test_negative_trials_exits_2(self, capsys):
+        code = main(["check", "--trials", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "trials" in err
 
     def test_asymmetric_hessian_exits_5(self, capsys, monkeypatch, camera,
                                         observer):
