@@ -36,10 +36,14 @@ round-off is treated as a hard error (:class:`AsymmetricHessian`) rather than
 silently averaged away.
 
 Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`, one
-perturbation loop applied to a value or to a gradient) are provided so every
+difference rule applied to a value or to a gradient) are provided so every
 closed form can be verified independently; they are the acceptance authority
-for both derivative orders. The optimizer (:mod:`vorafilter.optimize`) builds
-its models from the kernel and factors here and has no closed form of its own.
+for both derivative orders. Each calls its function once, on the (2n, n)
+stack of probes ``f +- h e_i``; :func:`gradient` and
+:func:`~vorafilter.vora.filtered_vora_value` take such stacks, checked once
+and factored in one stacked QR, and return each row's per-filter result bit
+for bit. The optimizer (:mod:`vorafilter.optimize`) builds its models from
+the kernel and factors here and has no closed form of its own.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from numpy.typing import NDArray
 from .errors import (AsymmetricHessian, BadBasisSpec, NonPositiveFilter, SingularSystem,
                      StepTooLarge)
 from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
-from .spectral import FilterSpectrum, SensorSet, WavelengthGrid, numerical_rank
+from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _transmittance_stack,
+                       numerical_rank)
 from .vora import _require_same_grid, _vora_of_bases
 
 # Assembly asymmetry above this is a bug in the closed form, not round-off.
@@ -236,7 +241,8 @@ class _Kernel:
 
     The observer basis ``V`` is built once; each filter then costs one QR of
     ``diag(f) Q``, whose basis ``W`` the gradient and the Hessian factors
-    share. Nothing here forms an n x n matrix.
+    share. Nothing here forms an n x n matrix. The basis, value and gradient
+    also take stacks: filters ``(..., n)`` and bases ``(..., n, 3)``.
     """
 
     def __init__(self, camera: SensorSet, observer: SensorSet,
@@ -247,15 +253,15 @@ class _Kernel:
 
     def filtered_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
         # Positive f times rank-3 responses is rank 3 by construction.
-        return _orthonormal_columns_unchecked(f[:, None] * self.q)
+        return _orthonormal_columns_unchecked(f[..., :, None] * self.q)
 
     def value(self, f: NDArray[np.float64]) -> float:
         return _vora_of_bases(self.filtered_basis(f), self.v)
 
     def gradient(self, w: NDArray[np.float64],
                  f: NDArray[np.float64]) -> NDArray[np.float64]:
-        r = w @ (w.T @ self.v)
-        return (2.0 / 3.0) * np.einsum("ij,ij->i", r, self.v - r) / f
+        r = w @ (w.swapaxes(-1, -2) @ self.v)
+        return (2.0 / 3.0) * np.einsum("...ij,...ij->...i", r, self.v - r) / f
 
 
 def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -279,11 +285,26 @@ def _as_filter_values(filt: FilterSpectrum | NDArray[np.float64]) -> NDArray[np.
 
 
 def gradient(camera: SensorSet, observer: SensorSet,
-             filt: FilterSpectrum) -> GradientVector:
-    """Analytic gradient of the filtered Vora-Value at ``filt``."""
-    kernel = _Kernel(camera, observer, filt.grid)
-    f = filt.transmittance
-    return GradientVector(grid=filt.grid, values=kernel.gradient(kernel.filtered_basis(f), f))
+             filt: FilterSpectrum | NDArray[np.float64]
+             ) -> GradientVector | NDArray[np.float64]:
+    """Analytic gradient of the filtered Vora-Value at ``filt``.
+
+    ``filt`` may also be an (m, n) array of transmittances, one filter per
+    row, each checked as :class:`FilterSpectrum` checks one (its box aside).
+    The result is then the (m, n) array of their gradients, row ``i`` bit
+    for bit the gradient of row ``i`` evaluated alone, from one stacked QR.
+    """
+    if isinstance(filt, FilterSpectrum):
+        kernel = _Kernel(camera, observer, filt.grid)
+        f = filt.transmittance
+        return GradientVector(grid=filt.grid,
+                              values=kernel.gradient(kernel.filtered_basis(f), f))
+    kernel = _Kernel(camera, observer)
+    f = _transmittance_stack(filt, camera.grid)
+    values = kernel.gradient(kernel.filtered_basis(f), f)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("gradient entries must be finite")
+    return values
 
 
 def gradient_in_basis(camera: SensorSet, observer: SensorSet,
@@ -356,30 +377,38 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 
 
-def _central_differences(fn: Callable[[NDArray[np.float64]], float | NDArray[np.float64]],
+def _central_differences(fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                          filt: FilterSpectrum | NDArray[np.float64],
                          h: float) -> NDArray[np.float64]:
-    """Central differences of ``fn`` at a filter point: column ``i`` is
-    ``(fn(f + h e_i) - fn(f - h e_i)) / 2h``, stacked on the last axis."""
+    """Central differences of ``fn`` at a filter point, from one call of
+    ``fn`` on the (2n, n) stack of probes ``f + h e_i`` (rows 0..n-1) and
+    ``f - h e_i`` (rows n..2n-1): column ``i`` of the result is
+    ``(fn(f + h e_i) - fn(f - h e_i)) / 2h``, on the last axis."""
     if h <= 0:
         raise ValueError("h must be positive")
     f = _as_filter_values(filt)
     if float(f.min()) - h <= 0.0:
         raise StepTooLarge(f"step {h:g} leaves the positive region at min(f)={f.min():g}")
-    columns = []
-    for i in range(f.size):
-        fp = f.copy()
-        fm = f.copy()
-        fp[i] += h
-        fm[i] -= h
-        columns.append((np.asarray(fn(fp)) - np.asarray(fn(fm))) / (2.0 * h))
-    return np.stack(columns, axis=-1)
+    n = f.size
+    step = h * np.eye(n)
+    out = np.asarray(fn(np.concatenate([f + step, f - step])))
+    if out.shape[:1] != (2 * n,):
+        raise ValueError(f"fn must map the ({2 * n}, {n}) probe stack to {2 * n} "
+                         f"rows, got shape {out.shape}")
+    return np.moveaxis((out[:n] - out[n:]) / (2.0 * h), 0, -1)
 
 
-def fd_gradient(objective: Callable[[NDArray[np.float64]], float],
+def fd_gradient(objective: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                 filt: FilterSpectrum | NDArray[np.float64],
                 h: float = FD_GRADIENT_STEP) -> NDArray[np.float64]:
     """Central-difference gradient of a scalar objective at a filter point.
+
+    ``objective`` maps an (m, n) stack of filters to their m values, and is
+    called once, on the 2n probes ``f +- h e_i``. With the public
+    :func:`~vorafilter.vora.filtered_vora_value`, which takes such stacks,
+    that is ``lambda p: filtered_vora_value(camera, observer, p)``; a
+    per-filter objective ``obj`` fits as
+    ``lambda p: np.array([obj(row) for row in p])``.
 
     Independent of every closed form in this module; used to verify them.
     """
@@ -389,5 +418,12 @@ def fd_gradient(objective: Callable[[NDArray[np.float64]], float],
 def fd_hessian(gradient_fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                filt: FilterSpectrum | NDArray[np.float64],
                h: float = FD_HESSIAN_STEP) -> NDArray[np.float64]:
-    """Central-difference Jacobian of a gradient function at a filter point."""
+    """Central-difference Jacobian of a gradient function at a filter point.
+
+    ``gradient_fn`` maps an (m, n) stack of filters to their (m, n)
+    gradients, and is called once, on the 2n probes ``f +- h e_i``; entry
+    ``(j, i)`` of the result is the difference of gradient entry ``j`` along
+    ``e_i``. The stacked public :func:`gradient` fits as
+    ``lambda p: gradient(camera, observer, p)``.
+    """
     return _central_differences(gradient_fn, filt, h)

@@ -22,14 +22,19 @@ def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
 
     Uses a Householder QR factorization, which meets the re-orthogonalized
     Gram-Schmidt accuracy contract (``basis^T basis = I`` to machine
-    precision) and is deterministic for a fixed input.
+    precision) and is deterministic for a fixed input. A stack
+    ``(..., n, k)`` gives the stack of bases, each bit for bit the basis of
+    its member; one rank-deficient member raises for the whole stack.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
         raise ShapeMismatch(f"expected a tall n x k matrix, got {m.shape}")
-    if numerical_rank(m) < m.shape[1]:
+    deficient = numerical_rank(m) < m.shape[-1]
+    # One matrix gives a plain bool, tested as is: np.any would wrap it in an
+    # array on every call of the value path.
+    if deficient if m.ndim == 2 else deficient.any():
         raise RankDeficient(
-            f"matrix of shape {m.shape} has numerical rank < {m.shape[1]}"
+            f"matrix of shape {m.shape} has numerical rank < {m.shape[-1]}"
         )
     q, _ = np.linalg.qr(m)
     return q

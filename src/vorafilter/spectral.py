@@ -67,14 +67,20 @@ class WavelengthGrid:
 DEFAULT_GRID = WavelengthGrid()
 
 
-def numerical_rank(matrix: NDArray[np.float64]) -> int:
+def numerical_rank(matrix: NDArray[np.float64]) -> int | NDArray[np.intp]:
     """Rank from singular values with threshold ``sigma_1 * n * eps * 1e3``.
 
     The 1e3 safety margin keeps measured (noisy) sensor data from being
-    declared full rank on the strength of pure round-off.
+    declared full rank on the strength of pure round-off. An n x k matrix
+    gives an int; a stack ``(..., n, k)`` gives the array of its ranks from
+    one stacked SVD.
     """
     m = np.asarray(matrix, dtype=np.float64)
     s = np.linalg.svd(m, compute_uv=False)
+    if m.ndim > 2:
+        # Each member against its own threshold, computed as below.
+        tol = s[..., :1] * max(m.shape[-2:]) * np.finfo(np.float64).eps * 1e3
+        return (s > tol).sum(axis=-1)
     if s.size == 0 or s[0] == 0.0:
         return 0
     tol = s[0] * max(m.shape) * np.finfo(np.float64).eps * 1e3
@@ -112,6 +118,27 @@ class SensorSet:
         object.__setattr__(self, "channel_names", names)
 
 
+def _check_transmittance(arr: NDArray[np.float64]) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("transmittance must be finite")
+    if np.any(arr <= 0.0):
+        raise NonPositiveFilter("filter transmittance must be strictly positive")
+
+
+def _transmittance_stack(values: NDArray[np.float64],
+                         grid: WavelengthGrid) -> NDArray[np.float64]:
+    """An (m, n) array of transmittances on ``grid``, each row checked as
+    :class:`FilterSpectrum` checks one, bar its box: finite, strictly
+    positive, ``n = grid.count``."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != grid.count:
+        raise ValueError(
+            f"a filter stack must be m x {grid.count}, got {arr.shape}"
+        )
+    _check_transmittance(arr)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class FilterSpectrum:
     """Per-wavelength transmittance, boxed to a physical range.
@@ -133,10 +160,7 @@ class FilterSpectrum:
             raise ValueError(
                 f"transmittance must have length {self.grid.count}, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("transmittance must be finite")
-        if np.any(arr <= 0.0):
-            raise NonPositiveFilter("filter transmittance must be strictly positive")
+        _check_transmittance(arr)
         if np.any(arr < self.tau_min) or np.any(arr > self.tau_max):
             raise ValueError(
                 f"transmittance outside [{self.tau_min}, {self.tau_max}]"

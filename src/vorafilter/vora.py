@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .errors import GridMismatch
 from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
-from .spectral import FilterSpectrum, SensorSet
+from .spectral import FilterSpectrum, SensorSet, _transmittance_stack
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
 # not round-off.
@@ -59,9 +59,12 @@ def _require_same_grid(*grids) -> None:
             raise GridMismatch(f"wavelength grids differ: {g} vs {first}")
 
 
-def _vora_of_bases(w: NDArray[np.float64], v: NDArray[np.float64]) -> float:
-    """Value from orthonormal bases of the camera-like and observer spaces."""
-    return float(np.sum((w.T @ v) ** 2) / 3.0)
+def _vora_of_bases(w: NDArray[np.float64],
+                   v: NDArray[np.float64]) -> float | NDArray[np.float64]:
+    """Value from orthonormal bases of the camera-like and observer spaces;
+    a stack of bases ``w`` (..., n, 3) gives the array of their values."""
+    values = np.sum((w.swapaxes(-1, -2) @ v) ** 2, axis=(-2, -1)) / 3.0
+    return float(values) if w.ndim == 2 else values
 
 
 def vora_value(camera: SensorSet, observer: SensorSet) -> VoraValue:
@@ -73,17 +76,33 @@ def vora_value(camera: SensorSet, observer: SensorSet) -> VoraValue:
 
 
 def filtered_vora_value(camera: SensorSet, observer: SensorSet,
-                        filt: FilterSpectrum) -> VoraValue:
+                        filt: FilterSpectrum | NDArray[np.float64]
+                        ) -> VoraValue | NDArray[np.float64]:
     """Vora-Value of the effective camera seen through a transmissive filter.
 
     The effective sensitivities are the camera's, scaled per wavelength by
     the filter transmittance. A unit filter reproduces :func:`vora_value`
     bit for bit.
+
+    ``filt`` may also be an (m, n) array of transmittances, one filter per
+    row, each checked as :class:`FilterSpectrum` checks one (its box aside).
+    The result is then the array of the m raw values, each bit for bit the
+    ``raw`` of its row evaluated alone, from one stacked QR.
     """
-    _require_same_grid(camera.grid, observer.grid, filt.grid)
+    if isinstance(filt, FilterSpectrum):
+        _require_same_grid(camera.grid, observer.grid, filt.grid)
+        f = filt.transmittance
+    else:
+        _require_same_grid(camera.grid, observer.grid)
+        f = _transmittance_stack(filt, camera.grid)
     # The filter is outside input, so the filtered camera keeps its rank check.
-    w = orthonormal_columns(filt.transmittance[:, None] * camera.responses)
-    return VoraValue(_vora_of_bases(w, _orthonormal_columns_unchecked(observer.responses)))
+    w = orthonormal_columns(f[..., :, None] * camera.responses)
+    raw = _vora_of_bases(w, _orthonormal_columns_unchecked(observer.responses))
+    if isinstance(filt, FilterSpectrum):
+        return VoraValue(raw)
+    if not np.all((-RANGE_TOL <= raw) & (raw <= 1.0 + RANGE_TOL)):
+        raise ValueError("a Vora-Value of the stack is outside [0, 1] tolerance")
+    return raw
 
 
 def regularized_objective(camera: SensorSet, observer: SensorSet,

@@ -68,13 +68,18 @@ def random_instances(count: int, start_seed: int = 100):
 
 def sabotage_gradient(monkeypatch) -> None:
     """Make ``vorafilter check`` see a gradient with 1e-3 added to ``g[0]``,
-    the negative control its identities must fail."""
+    for one filter and for every row of a stack: the negative control its
+    identities must fail."""
     import vorafilter.cli as cli
 
     exact = cli.gradient
 
     def sabotaged(camera, observer, filt):
         g = exact(camera, observer, filt)
+        if not isinstance(g, GradientVector):
+            g = g.copy()
+            g[:, 0] += 1e-3
+            return g
         values = g.values.copy()
         values[0] += 1e-3
         return GradientVector(grid=g.grid, values=values)

@@ -35,19 +35,13 @@ N = DEFAULT_GRID.count
 
 
 def objective_fn(camera, observer):
-    def objective(values):
-        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=values,
-                              tau_min=1e-12, tau_max=np.inf)
-        return filtered_vora_value(camera, observer, filt).raw
-    return objective
+    """The value over a stack of filters, as the FD oracles call it."""
+    return lambda probes: filtered_vora_value(camera, observer, probes)
 
 
 def gradient_fn(camera, observer):
-    def grad(values):
-        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=values,
-                              tau_min=1e-12, tau_max=np.inf)
-        return gradient(camera, observer, filt).values
-    return grad
+    """The gradient over a stack of filters, as the FD oracles call it."""
+    return lambda probes: gradient(camera, observer, probes)
 
 
 def rel_err(candidate, reference):
@@ -59,12 +53,18 @@ class TestFiniteDifferenceOracles:
     """The oracles themselves must behave before they judge anything."""
 
     def test_quadratic_is_exact(self):
-        g = fd_gradient(lambda f: float(f @ f), np.ones(N), h=1e-6)
+        g = fd_gradient(lambda p: np.sum(p * p, axis=1), np.ones(N), h=1e-6)
         assert np.max(np.abs(g - 2.0)) < 1e-8
 
     def test_constant_is_zero(self):
-        g = fd_gradient(lambda f: 3.25, np.full(N, 0.5), h=1e-6)
+        g = fd_gradient(lambda p: np.full(len(p), 3.25), np.full(N, 0.5), h=1e-6)
         assert np.array_equal(g, np.zeros(N))
+
+    def test_per_point_callable_is_rejected(self):
+        # The oracles call fn once on the (2n, n) probe stack; a callable
+        # returning one number for it cannot be differenced.
+        with pytest.raises(ValueError, match="probe stack"):
+            fd_gradient(lambda f: 3.25, np.full(N, 0.5), h=1e-6)
 
     def test_step_leaving_positive_region_rejected(self):
         values = np.full(N, 0.5)
@@ -195,7 +195,8 @@ class TestBasis:
             cp, cm = coeffs.copy(), coeffs.copy()
             cp[i] += h
             cm[i] -= h
-            want[i] = (obj(basis.basis @ cp) - obj(basis.basis @ cm)) / (2 * h)
+            up, down = obj(np.stack([basis.basis @ cp, basis.basis @ cm]))
+            want[i] = (up - down) / (2 * h)
         assert rel_err(got, want) < 1e-5
 
     def test_cosine_hessian_matches_fd_in_coefficient_space(self, camera, observer):
@@ -387,3 +388,66 @@ def test_factored_operator_matches_dense_assembly(cie_table, n, floor, alpha):
     assert backward <= 1e-14
     reference = np.linalg.solve(dense, rhs)
     assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def one_probe_at_a_time(fn, f, h):
+    """Central differences probing one filter per call, column ``i`` from
+    ``fn(f + h e_i)`` and ``fn(f - h e_i)``: the reference the stacked
+    oracle must reproduce bit for bit."""
+    columns = []
+    for i in range(f.size):
+        fp, fm = f.copy(), f.copy()
+        fp[i] += h
+        fm[i] -= h
+        columns.append((fn(fp) - fn(fm)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
+@pytest.mark.parametrize("n", [31, 61, 301])
+class TestStackedEvaluation:
+    """A stack of filters gives each member's per-filter result exactly."""
+
+    def test_value_and_gradient_rows_match_single_filters(self, cie_table, n):
+        grid, camera, observer, f = fine_grid_instance(cie_table, n, floor=False)
+        rng = np.random.default_rng(n + 1)
+        stack = np.vstack([f, rng.uniform(0.2, 1.0, (5, n)), np.ones(n)])
+        values = filtered_vora_value(camera, observer, stack)
+        grads = gradient(camera, observer, stack)
+        assert values.shape == (7,) and grads.shape == (7, n)
+        for i, row in enumerate(stack):
+            filt = FilterSpectrum(grid=grid, transmittance=row)
+            assert values[i] == filtered_vora_value(camera, observer, filt).raw
+            assert np.array_equal(grads[i], gradient(camera, observer, filt).values)
+
+    def test_oracles_match_one_probe_at_a_time(self, cie_table, n):
+        grid, camera, observer, f = fine_grid_instance(cie_table, n, floor=False)
+
+        def probe(values):
+            return FilterSpectrum(grid=grid, transmittance=values,
+                                  tau_min=1e-12, tau_max=np.inf)
+
+        g_fd = fd_gradient(lambda p: filtered_vora_value(camera, observer, p), f)
+        h_fd = fd_hessian(lambda p: gradient(camera, observer, p), f)
+        assert np.array_equal(g_fd, one_probe_at_a_time(
+            lambda v: filtered_vora_value(camera, observer, probe(v)).raw, f, 1e-6))
+        assert np.array_equal(h_fd, one_probe_at_a_time(
+            lambda v: gradient(camera, observer, probe(v)).values, f, 1e-5))
+
+    def test_oracle_calls_fn_once_on_the_probe_stack(self, cie_table, n):
+        _, _, _, f = fine_grid_instance(cie_table, n, floor=False)
+        h = 1e-6
+        calls = []
+
+        def fn(probes):
+            calls.append(probes.copy())
+            return probes.sum(axis=1)
+
+        fd_gradient(fn, f, h=h)
+        assert len(calls) == 1
+        assert calls[0].shape == (2 * n, n)
+        for i in range(n):
+            fp, fm = f.copy(), f.copy()
+            fp[i] += h
+            fm[i] -= h
+            assert np.array_equal(calls[0][i], fp)
+            assert np.array_equal(calls[0][n + i], fm)

@@ -12,6 +12,7 @@ from vorafilter import (
     RankDeficient,
     SensorSet,
     ShapeMismatch,
+    numerical_rank,
 )
 from vorafilter.projectors import orthonormal_columns
 
@@ -61,6 +62,36 @@ class TestOrthonormalize:
             orthonormal_columns(np.ones((3, 4)))
         with pytest.raises(ShapeMismatch):
             orthonormal_columns(np.ones(N))
+
+
+class TestStacks:
+    """``(..., n, k)`` stacks: one SVD and one QR, each member as if alone."""
+
+    @staticmethod
+    def stack(deficient: bool) -> np.ndarray:
+        rng = np.random.default_rng(7)
+        members = rng.standard_normal((2, 3, N, 3))
+        if deficient:
+            members[1, 2, :, 2] = members[1, 2, :, 0] - members[1, 2, :, 1]
+        return members
+
+    def test_rank_of_each_member(self):
+        members = self.stack(deficient=True)
+        ranks = numerical_rank(members)
+        assert ranks.shape == (2, 3)
+        assert ranks.tolist() == [[numerical_rank(m) for m in row] for row in members]
+        assert ranks[1, 2] == 2 and type(numerical_rank(members[0, 0])) is int
+
+    def test_basis_of_each_member(self):
+        members = self.stack(deficient=False)
+        bases = orthonormal_columns(members)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(bases[i, j], orthonormal_columns(members[i, j]))
+
+    def test_one_deficient_member_rejects_the_stack(self):
+        with pytest.raises(RankDeficient):
+            orthonormal_columns(self.stack(deficient=True))
 
 
 class TestProjector:

@@ -11,10 +11,13 @@ from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
     GridMismatch,
+    NonPositiveFilter,
+    RankDeficient,
     SensorSet,
     VoraValue,
     WavelengthGrid,
     filtered_vora_value,
+    gradient,
     regularized_objective,
     vora_value,
 )
@@ -129,6 +132,54 @@ class TestFilteredVoraValue:
         filt = make_random_filter(4)
         raw = filtered_vora_value(camera, observer, filt).raw
         assert -1e-12 <= raw <= 1.0 + 1e-12
+
+
+class TestFilterStacks:
+    """An (m, n) stack is checked as each of its rows would be alone."""
+
+    @staticmethod
+    def stack_with(row):
+        rng = np.random.default_rng(3)
+        stack = rng.uniform(0.2, 1.0, (4, N))
+        stack[2] = row
+        return stack
+
+    def test_values_match_single_filters(self, camera, observer):
+        stack = self.stack_with(np.ones(N))
+        values = filtered_vora_value(camera, observer, stack)
+        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        for row, value in zip(stack, values):
+            filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=row)
+            assert value == filtered_vora_value(camera, observer, filt).raw
+
+    def test_rank_deficient_member_rejected(self, camera, observer):
+        # Two wavelengths pass; the rest are far below round-off.
+        row = np.full(N, 1e-200)
+        row[[5, 20]] = 1.0
+        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=row, tau_min=1e-300)
+        with pytest.raises(RankDeficient):
+            filtered_vora_value(camera, observer, filt)
+        with pytest.raises(RankDeficient):
+            filtered_vora_value(camera, observer, self.stack_with(row))
+
+    @pytest.mark.parametrize("bad, error", [(0.0, NonPositiveFilter),
+                                            (-0.5, NonPositiveFilter),
+                                            (np.nan, ValueError),
+                                            (np.inf, ValueError)])
+    def test_bad_member_raises_what_a_filter_raises(self, camera, observer, bad, error):
+        row = np.full(N, 0.5)
+        row[7] = bad
+        with pytest.raises(error) as single:
+            FilterSpectrum(grid=DEFAULT_GRID, transmittance=row)
+        for fn in (filtered_vora_value, gradient):
+            with pytest.raises(error) as stacked:
+                fn(camera, observer, self.stack_with(row))
+            assert type(stacked.value) is type(single.value)
+
+    def test_wrong_width_rejected(self, camera, observer):
+        for shape in ((4, N - 1), (N,), (2, 2, N)):
+            with pytest.raises(ValueError, match="filter stack"):
+                filtered_vora_value(camera, observer, np.full(shape, 0.5))
 
 
 class TestRegularizedObjective:
