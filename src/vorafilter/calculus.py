@@ -54,12 +54,11 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (AsymmetricHessian, BadBasisSpec, NonPositiveFilter, SingularSystem,
-                     StepTooLarge)
+from .errors import AsymmetricHessian, BadBasisSpec, SingularSystem, StepTooLarge
 from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
-from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _transmittance_stack,
-                       numerical_rank)
-from .vora import _require_same_grid, _vora_of_bases
+from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
+                       _require_same_grid, numerical_rank)
+from .vora import _vora_of_bases
 
 # Assembly asymmetry above this is a bug in the closed form, not round-off.
 HESSIAN_ASYMMETRY_TOL = 1e-9
@@ -265,23 +264,11 @@ class _Kernel:
 
 
 def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The filter ``f = B c``, which must be strictly positive."""
+    """The filter ``f = B c``, which must be finite and strictly positive."""
     c = np.asarray(coeffs, dtype=np.float64)
     if c.shape != (basis.size,):
         raise ValueError(f"coeffs must have length {basis.size}, got {c.shape}")
-    f = basis.basis @ c
-    if np.any(f <= 0.0):
-        raise NonPositiveFilter("basis combination has nonpositive transmittance")
-    return f
-
-
-def _as_filter_values(filt: FilterSpectrum | NDArray[np.float64]) -> NDArray[np.float64]:
-    if isinstance(filt, FilterSpectrum):
-        return filt.transmittance
-    arr = np.asarray(filt, dtype=np.float64)
-    if np.any(arr <= 0.0):
-        raise NonPositiveFilter("filter values must be strictly positive")
-    return arr
+    return _filter_values(basis.basis @ c)
 
 
 def gradient(camera: SensorSet, observer: SensorSet,
@@ -294,14 +281,11 @@ def gradient(camera: SensorSet, observer: SensorSet,
     The result is then the (m, n) array of their gradients, row ``i`` bit
     for bit the gradient of row ``i`` evaluated alone, from one stacked QR.
     """
-    if isinstance(filt, FilterSpectrum):
-        kernel = _Kernel(camera, observer, filt.grid)
-        f = filt.transmittance
-        return GradientVector(grid=filt.grid,
-                              values=kernel.gradient(kernel.filtered_basis(f), f))
     kernel = _Kernel(camera, observer)
-    f = _transmittance_stack(filt, camera.grid)
+    f = _filter_values(filt, camera.grid)
     values = kernel.gradient(kernel.filtered_basis(f), f)
+    if isinstance(filt, FilterSpectrum):
+        return GradientVector(grid=filt.grid, values=values)
     if not np.all(np.isfinite(values)):
         raise ValueError("gradient entries must be finite")
     return values
@@ -384,9 +368,9 @@ def _central_differences(fn: Callable[[NDArray[np.float64]], NDArray[np.float64]
     ``fn`` on the (2n, n) stack of probes ``f + h e_i`` (rows 0..n-1) and
     ``f - h e_i`` (rows n..2n-1): column ``i`` of the result is
     ``(fn(f + h e_i) - fn(f - h e_i)) / 2h``, on the last axis."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    f = _as_filter_values(filt)
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
+    f = _filter_values(filt)
     if float(f.min()) - h <= 0.0:
         raise StepTooLarge(f"step {h:g} leaves the positive region at min(f)={f.min():g}")
     n = f.size
@@ -408,7 +392,10 @@ def fd_gradient(objective: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     :func:`~vorafilter.vora.filtered_vora_value`, which takes such stacks,
     that is ``lambda p: filtered_vora_value(camera, observer, p)``; a
     per-filter objective ``obj`` fits as
-    ``lambda p: np.array([obj(row) for row in p])``.
+    ``lambda p: np.array([obj(row) for row in p])``. Before
+    ``objective`` is called, a point that is not finite or an ``h`` that is
+    not positive and finite raises ``ValueError``, and a point that is not
+    strictly positive raises :class:`~vorafilter.errors.NonPositiveFilter`.
 
     Independent of every closed form in this module; used to verify them.
     """
@@ -424,6 +411,7 @@ def fd_hessian(gradient_fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]
     gradients, and is called once, on the 2n probes ``f +- h e_i``; entry
     ``(j, i)`` of the result is the difference of gradient entry ``j`` along
     ``e_i``. The stacked public :func:`gradient` fits as
-    ``lambda p: gradient(camera, observer, p)``.
+    ``lambda p: gradient(camera, observer, p)``. The point and ``h`` are
+    checked as in :func:`fd_gradient`.
     """
     return _central_differences(gradient_fn, filt, h)

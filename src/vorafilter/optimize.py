@@ -67,8 +67,8 @@ from .calculus import BasisSet, _basis_hessian, _hessian_factors, _Kernel
 from .errors import NoAscent, NonPositiveFilter
 # Not called here: bench/run.py traces QR calls through this module's name.
 from .projectors import orthonormal_columns  # noqa: F401
-from .spectral import FilterSpectrum, SensorSet
-from .vora import _require_same_grid
+from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
+                       _filter_values)
 
 _METHODS = ("grad", "newton")
 _INITS = ("ones", "random")
@@ -108,8 +108,8 @@ class OptimizerConfig:
     max_iters: int = 5000
     tol_obj: float = 1e-12
     tol_grad: float = 1e-8
-    tau_min: float = 1e-4
-    tau_max: float = 1.0
+    tau_min: float = DEFAULT_TAU_MIN
+    tau_max: float = DEFAULT_TAU_MAX
     init: str = "ones"
     seed: int = 0
     basis: BasisSet | None = None
@@ -286,8 +286,7 @@ class _RunState:
         self.grid = camera.grid
         self.basis = config.basis.basis if config.basis is not None else None
         if initial_filter is not None:
-            _require_same_grid(self.grid, initial_filter.grid)
-            f0 = initial_filter.transmittance.copy()
+            f0 = _filter_values(initial_filter, self.grid).copy()
         elif config.init == "ones":
             f0 = np.ones(self.grid.count)
         else:

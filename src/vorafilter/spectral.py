@@ -18,6 +18,7 @@ from numpy.typing import NDArray
 
 from .errors import (
     DuplicateWavelength,
+    GridMismatch,
     InsufficientCoverage,
     MalformedCsv,
     NonPositiveFilter,
@@ -77,14 +78,10 @@ def numerical_rank(matrix: NDArray[np.float64]) -> int | NDArray[np.intp]:
     """
     m = np.asarray(matrix, dtype=np.float64)
     s = np.linalg.svd(m, compute_uv=False)
-    if m.ndim > 2:
-        # Each member against its own threshold, computed as below.
-        tol = s[..., :1] * max(m.shape[-2:]) * np.finfo(np.float64).eps * 1e3
-        return (s > tol).sum(axis=-1)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    tol = s[0] * max(m.shape) * np.finfo(np.float64).eps * 1e3
-    return int(np.sum(s > tol))
+    # Each member against its own threshold; an all-zero member has rank 0.
+    tol = s[..., :1] * max(m.shape[-2:]) * np.finfo(np.float64).eps * 1e3
+    ranks = (s > tol).sum(axis=-1)
+    return int(ranks) if m.ndim == 2 else ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,20 +122,6 @@ def _check_transmittance(arr: NDArray[np.float64]) -> None:
         raise NonPositiveFilter("filter transmittance must be strictly positive")
 
 
-def _transmittance_stack(values: NDArray[np.float64],
-                         grid: WavelengthGrid) -> NDArray[np.float64]:
-    """An (m, n) array of transmittances on ``grid``, each row checked as
-    :class:`FilterSpectrum` checks one, bar its box: finite, strictly
-    positive, ``n = grid.count``."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != grid.count:
-        raise ValueError(
-            f"a filter stack must be m x {grid.count}, got {arr.shape}"
-        )
-    _check_transmittance(arr)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class FilterSpectrum:
     """Per-wavelength transmittance, boxed to a physical range.
@@ -177,6 +160,33 @@ class FilterSpectrum:
     def normalized(self) -> NDArray[np.float64]:
         """Transmittance rescaled so its maximum is 1 (the scale gauge)."""
         return self.transmittance / float(self.transmittance.max())
+
+
+def _require_same_grid(*grids: WavelengthGrid) -> None:
+    first = grids[0]
+    for g in grids[1:]:
+        if g != first:
+            raise GridMismatch(f"wavelength grids differ: {g} vs {first}")
+
+
+def _filter_values(filt: FilterSpectrum | NDArray[np.float64],
+                   grid: WavelengthGrid | None = None) -> NDArray[np.float64]:
+    """The transmittance values of a filter argument, checked once.
+
+    A :class:`FilterSpectrum` gives its transmittance, which must be on
+    ``grid`` when one is given. An array must be finite and strictly
+    positive, as a :class:`FilterSpectrum` is (its box aside); with a grid
+    it must be an (m, n) stack of filters on it, ``n = grid.count``.
+    """
+    if isinstance(filt, FilterSpectrum):
+        if grid is not None:
+            _require_same_grid(grid, filt.grid)
+        return filt.transmittance
+    arr = np.asarray(filt, dtype=np.float64)
+    if grid is not None and (arr.ndim != 2 or arr.shape[1] != grid.count):
+        raise ValueError(f"a filter stack must be m x {grid.count}, got {arr.shape}")
+    _check_transmittance(arr)
+    return arr
 
 
 class SpectralTable(NamedTuple):

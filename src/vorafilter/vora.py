@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import GridMismatch
 from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
-from .spectral import FilterSpectrum, SensorSet, _transmittance_stack
+from .spectral import FilterSpectrum, SensorSet, _filter_values, _require_same_grid
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
 # not round-off.
@@ -50,13 +49,6 @@ class VoraValue:
 
     def __float__(self) -> float:
         return self.raw
-
-
-def _require_same_grid(*grids) -> None:
-    first = grids[0]
-    for g in grids[1:]:
-        if g != first:
-            raise GridMismatch(f"wavelength grids differ: {g} vs {first}")
 
 
 def _vora_of_bases(w: NDArray[np.float64],
@@ -89,12 +81,8 @@ def filtered_vora_value(camera: SensorSet, observer: SensorSet,
     The result is then the array of the m raw values, each bit for bit the
     ``raw`` of its row evaluated alone, from one stacked QR.
     """
-    if isinstance(filt, FilterSpectrum):
-        _require_same_grid(camera.grid, observer.grid, filt.grid)
-        f = filt.transmittance
-    else:
-        _require_same_grid(camera.grid, observer.grid)
-        f = _transmittance_stack(filt, camera.grid)
+    _require_same_grid(camera.grid, observer.grid)
+    f = _filter_values(filt, camera.grid)
     # The filter is outside input, so the filtered camera keeps its rank check.
     w = orthonormal_columns(f[..., :, None] * camera.responses)
     raw = _vora_of_bases(w, _orthonormal_columns_unchecked(observer.responses))

@@ -74,6 +74,23 @@ class TestFiniteDifferenceOracles:
         with pytest.raises(StepTooLarge):
             fd_hessian(lambda f: f, values, h=1e-5)
 
+    @pytest.mark.parametrize("oracle", [fd_gradient, fd_hessian])
+    def test_non_finite_point_or_step_rejected_before_fn(self, oracle):
+        def fn(probes):
+            raise AssertionError("fn called on an invalid point or step")
+
+        point = np.full(N, 0.5)
+        for bad in (np.nan, np.inf):
+            values = point.copy()
+            values[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                oracle(fn, values, h=1e-6)
+            with pytest.raises(ValueError, match="finite"):
+                oracle(fn, np.full(N, bad), h=1e-6)
+        for h in (np.nan, np.inf, -np.inf, 0.0, -1e-6):
+            with pytest.raises(ValueError, match="h must be"):
+                oracle(fn, point, h=h)
+
     def test_second_order_error_decay(self, camera, observer):
         # central differences on a smooth objective: error drops ~100x
         # when h drops 10x, until round-off takes over
@@ -219,9 +236,15 @@ class TestBasis:
 
     def test_nonpositive_combination_rejected(self, camera, observer):
         basis = make_basis("cosine", 4, DEFAULT_GRID)
-        coeffs = np.array([0.0, 1.0, 0.0, 0.0])  # oscillates through zero
-        with pytest.raises(NonPositiveFilter):
-            gradient_in_basis(camera, observer, basis, coeffs)
+        cases = [([0.0, 1.0, 0.0, 0.0], NonPositiveFilter),  # oscillates through zero
+                 # A non-finite B c is rejected too, not differentiated to NaN.
+                 ([1.0, np.nan, 0.0, 0.0], ValueError),
+                 ([1.0, np.inf, 0.0, 0.0], ValueError),
+                 ([np.inf, 0.0, 0.0, 0.0], ValueError)]
+        for coeffs, error in cases:
+            for fn in (gradient_in_basis, hessian_in_basis):
+                with pytest.raises(error):
+                    fn(camera, observer, basis, np.array(coeffs))
 
 
 class TestMakeBasis:
