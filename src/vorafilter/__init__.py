@@ -22,7 +22,6 @@ from .calculus import (
     newton_step,
 )
 from .errors import (
-    AsymmetricHessian,
     BadBasisSpec,
     DuplicateWavelength,
     GridMismatch,
@@ -64,7 +63,6 @@ from .vora import VoraValue, filtered_vora_value, regularized_objective, vora_va
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetricHessian",
     "BadBasisSpec",
     "BasisSet",
     "DEFAULT_GRID",

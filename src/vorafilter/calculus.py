@@ -20,29 +20,25 @@ observer. With ``M = W^T V`` (3 x 3), ``R = W M`` and ``Z = V - 2R`` (so that
     hessian + alpha I = diag(d) + U U^T,   d_i = alpha - (2/3) |r_i|^2 / f_i^2,
                                            U   = sqrt(2/3) (W (x) Z) / f
 
-where ``(x)`` is the row-wise Kronecker product, so ``U`` is n x 9. The
-optimizer and every derivative consumer work from these factors: a gradient
-costs O(n), the paper's regularized Newton step (:func:`newton_step`,
+where ``(x)`` is the row-wise Kronecker product, so ``U`` is n x 9. Every
+derivative consumer works from these factors: a gradient costs O(n), the
+paper's regularized Newton step (:func:`newton_step`,
 ``(H + alpha I) s = -(g + alpha f)``) O(81 n) by Sherman-Morrison-Woodbury
 with a 9 x 9 capacitance matrix, and each product with the operator in the
-optimizer's trust-region solve O(9 n). No n x n matrix is formed on that
-path, except by the dense fallback taken when a Woodbury solve's residual is
-not small.
-
-The dense assembly above is kept in :func:`hessian` alone, as its public
-output and as the oracle the factored operator is checked against. Its
-expression is symmetric in exact arithmetic; assembly asymmetry beyond
-round-off is treated as a hard error (:class:`AsymmetricHessian`) rather than
-silently averaged away.
+optimizer's trust-region solve O(9 n). The public :func:`hessian` is
+``diag(d) + U U^T`` formed densely, symmetric by construction; apart from it,
+an n x n matrix is formed only by the dense fallback taken when a Woodbury
+solve's residual is not small. The Hadamard form above is the test suite's
+oracle for these factors.
 
 Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`, one
 difference rule applied to a value or to a gradient) are provided so every
 closed form can be verified independently; they are the acceptance authority
-for both derivative orders. Each calls its function once, on the (2n, n)
-stack of probes ``f +- h e_i``; :func:`gradient` and
-:func:`~vorafilter.vora.filtered_vora_value` take such stacks, checked once
-and factored in one stacked QR, and return each row's per-filter result bit
-for bit. The optimizer (:mod:`vorafilter.optimize`) builds its models from
+for both derivative orders. Each calls its function on stacks of the probes
+``f +- h e_i``, ``FD_BLOCK_PAIRS`` pairs at most per call; :func:`gradient`
+and :func:`~vorafilter.vora.filtered_vora_value` take such stacks, checked
+once and factored in one stacked QR, and return each row's per-filter result
+bit for bit. The optimizer (:mod:`vorafilter.optimize`) builds its models from
 the kernel and factors here and has no closed form of its own.
 """
 
@@ -54,15 +50,13 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import AsymmetricHessian, BadBasisSpec, SingularSystem, StepTooLarge
+from .errors import BadBasisSpec, SingularSystem, StepTooLarge
 from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
                        _require_same_grid, numerical_rank)
 from .vora import _vora_of_bases
 
-# Assembly asymmetry above this is a bug in the closed form, not round-off.
-HESSIAN_ASYMMETRY_TOL = 1e-9
-# Validation bound for the symmetrized result stored in HessianMatrix.
+# Validation bound for the symmetry of a HessianMatrix.
 HESSIAN_SYMMETRY_TOL = 1e-10
 # A Woodbury Newton solve whose normwise backward error exceeds this, or is
 # not finite, is redone densely. Measured errors are ~1e-15.
@@ -72,6 +66,9 @@ WOODBURY_BACKWARD_TOL = 1e-10
 # unit-scale filters.
 FD_GRADIENT_STEP = 1e-6
 FD_HESSIAN_STEP = 1e-5
+# Probe pairs per call of the function under difference: bounds the memory of
+# the probe stack and of the function's work on it, whatever n is.
+FD_BLOCK_PAIRS = 128
 
 BASIS_KINDS = ("cosine", "gaussian", "identity")
 
@@ -172,21 +169,6 @@ def make_basis(kind: str, k: int, grid: WavelengthGrid) -> BasisSet:
     return BasisSet(grid=grid, basis=cols, kind=kind)
 
 
-def _vora_hessian_raw(b: NDArray[np.float64], a: NDArray[np.float64],
-                      f: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Unsymmetrized dense Hessian assembly (symmetric up to round-off)."""
-    ab = a @ b
-    bab = b @ ab
-    cb = b / f[:, None]
-    cbc = cb / f[None, :]
-    term1 = -2.0 * cb * ((ab - 2.0 * bab) / f[None, :])
-    term2 = cbc * (a - 2.0 * ab.T)
-    diag3 = np.einsum("ij,ji->i", b, ab) / (f * f)
-    h = (2.0 / 3.0) * (term1 + term2)
-    h[np.diag_indices_from(h)] -= (2.0 / 3.0) * diag3
-    return h
-
-
 def _hessian_factors(w: NDArray[np.float64], v: NDArray[np.float64],
                      f: NDArray[np.float64],
                      alpha: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -204,6 +186,13 @@ def _basis_hessian(d: NDArray[np.float64], u: NDArray[np.float64],
     """``B^T (diag(d) + U U^T) B``, k x k, without the n x n operator."""
     bu = basis.T @ u
     return (basis.T * d) @ basis + bu @ bu.T
+
+
+def _dense_operator(d: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``diag(d) + U U^T`` as an n x n matrix, symmetric by construction."""
+    dense = u @ u.T
+    dense[np.diag_indices_from(dense)] += d
+    return dense
 
 
 def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
@@ -230,29 +219,36 @@ def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
             if resid <= WOODBURY_BACKWARD_TOL * (op_norm * np.linalg.norm(x)
                                                  + np.linalg.norm(rhs)):
                 return x
-    dense = u @ u.T
-    dense[np.diag_indices_from(dense)] += d
-    return np.linalg.solve(dense, rhs)
+    return np.linalg.solve(_dense_operator(d, u), rhs)
 
 
 class _Kernel:
     """The closed forms for one (camera, observer) pair.
 
     The observer basis ``V`` is built once; each filter then costs one QR of
-    ``diag(f) Q``, whose basis ``W`` the gradient and the Hessian factors
-    share. Nothing here forms an n x n matrix. The basis, value and gradient
-    also take stacks: filters ``(..., n)`` and bases ``(..., n, 3)``.
+    ``diag(f) Q`` (rank-checked through its ``R`` for the public calls),
+    whose basis ``W`` the gradient and the Hessian factors share. Nothing here forms an n x n
+    matrix. The bases, value and gradient also take stacks: filters
+    ``(..., n)`` and bases ``(..., n, 3)``.
     """
 
     def __init__(self, camera: SensorSet, observer: SensorSet,
                  *grids: WavelengthGrid) -> None:
         _require_same_grid(camera.grid, observer.grid, *grids)
         self.q = camera.responses
-        self.v = orthonormal_columns(observer.responses)
+        # SensorSet rank-checks its read-only responses on construction.
+        self.v = _orthonormal_columns_unchecked(observer.responses)
 
     def filtered_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
-        # Positive f times rank-3 responses is rank 3 by construction.
+        # Unchecked, for the optimizer: the rank check costs about 20 us a
+        # call (a 3 x 3 SVD and its threshold), +22-25% on the design-paper
+        # and design-fine optimize jobs in an in-process A/B.
         return _orthonormal_columns_unchecked(f[..., :, None] * self.q)
+
+    def checked_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
+        # A filter from outside can make diag(f) Q numerically rank
+        # deficient (near-zero transmittance on all but two rows, say).
+        return orthonormal_columns(f[..., :, None] * self.q)
 
     def value(self, f: NDArray[np.float64]) -> float:
         return _vora_of_bases(self.filtered_basis(f), self.v)
@@ -283,7 +279,7 @@ def gradient(camera: SensorSet, observer: SensorSet,
     """
     kernel = _Kernel(camera, observer)
     f = _filter_values(filt, camera.grid)
-    values = kernel.gradient(kernel.filtered_basis(f), f)
+    values = kernel.gradient(kernel.checked_basis(f), f)
     if isinstance(filt, FilterSpectrum):
         return GradientVector(grid=filt.grid, values=values)
     if not np.all(np.isfinite(values)):
@@ -296,7 +292,7 @@ def gradient_in_basis(camera: SensorSet, observer: SensorSet,
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
     kernel = _Kernel(camera, observer, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return basis.basis.T @ kernel.gradient(kernel.filtered_basis(f), f)
+    return basis.basis.T @ kernel.gradient(kernel.checked_basis(f), f)
 
 
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -305,25 +301,17 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
 
     With ``alpha = 0`` this is the plain second derivative; a positive
     ``alpha`` gives the regularized-objective Hessian used by the Newton
-    optimizer. This is the one dense n x n assembly, the oracle for the
-    factored operator the optimizer uses. Raises :class:`AsymmetricHessian`
-    if the assembled matrix is asymmetric beyond round-off.
+    optimizer. The matrix is ``diag(d) + U U^T`` from the factors that
+    :func:`newton_step`, :func:`hessian_in_basis` and the optimizer use, so
+    it is symmetric by construction; it is the only n x n matrix the
+    library returns.
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    w = kernel.filtered_basis(f)
-    raw = _vora_hessian_raw(w @ w.T, kernel.v @ kernel.v.T, f)
-    asym = float(np.max(np.abs(raw - raw.T)))
-    if asym > HESSIAN_ASYMMETRY_TOL:
-        raise AsymmetricHessian(
-            f"hessian assembly asymmetry {asym:.3e} exceeds {HESSIAN_ASYMMETRY_TOL:g}"
-        )
-    h = 0.5 * (raw + raw.T)
-    if alpha:
-        h[np.diag_indices_from(h)] += alpha
-    return HessianMatrix(matrix=h)
+    return HessianMatrix(matrix=_dense_operator(
+        *_hessian_factors(kernel.checked_basis(f), kernel.v, f, alpha)))
 
 
 def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
@@ -334,7 +322,7 @@ def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
         raise ValueError("alpha must be finite and nonnegative")
     kernel = _Kernel(camera, observer, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return _basis_hessian(*_hessian_factors(kernel.filtered_basis(f), kernel.v, f, alpha),
+    return _basis_hessian(*_hessian_factors(kernel.checked_basis(f), kernel.v, f, alpha),
                           basis.basis)
 
 
@@ -353,7 +341,7 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise ValueError("alpha must be positive and finite for a Newton step")
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    w = kernel.filtered_basis(f)
+    w = kernel.checked_basis(f)
     d, u = _hessian_factors(w, kernel.v, f, alpha)
     try:
         return _woodbury_solve(d, u, -(kernel.gradient(w, f) + alpha * f))
@@ -364,22 +352,30 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
 def _central_differences(fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                          filt: FilterSpectrum | NDArray[np.float64],
                          h: float) -> NDArray[np.float64]:
-    """Central differences of ``fn`` at a filter point, from one call of
-    ``fn`` on the (2n, n) stack of probes ``f + h e_i`` (rows 0..n-1) and
-    ``f - h e_i`` (rows n..2n-1): column ``i`` of the result is
-    ``(fn(f + h e_i) - fn(f - h e_i)) / 2h``, on the last axis."""
+    """Central differences of ``fn`` at a filter point: column ``i`` of the
+    result is ``(fn(f + h e_i) - fn(f - h e_i)) / 2h``, on the last axis.
+
+    The coordinates are taken in consecutive blocks of at most
+    ``FD_BLOCK_PAIRS``; for a block of ``m`` coordinates ``fn`` is called
+    once, on the (2m, n) stack of probes ``f + h e_i`` (rows 0..m-1) and
+    ``f - h e_i`` (rows m..2m-1), so an n <= ``FD_BLOCK_PAIRS`` point takes
+    one call."""
     if not 0.0 < h < np.inf:
         raise ValueError("h must be positive and finite")
     f = _filter_values(filt)
     if float(f.min()) - h <= 0.0:
         raise StepTooLarge(f"step {h:g} leaves the positive region at min(f)={f.min():g}")
     n = f.size
-    step = h * np.eye(n)
-    out = np.asarray(fn(np.concatenate([f + step, f - step])))
-    if out.shape[:1] != (2 * n,):
-        raise ValueError(f"fn must map the ({2 * n}, {n}) probe stack to {2 * n} "
-                         f"rows, got shape {out.shape}")
-    return np.moveaxis((out[:n] - out[n:]) / (2.0 * h), 0, -1)
+    columns = []
+    for start in range(0, n, FD_BLOCK_PAIRS):
+        step = h * np.eye(min(FD_BLOCK_PAIRS, n - start), n, start)
+        m = len(step)
+        out = np.asarray(fn(np.concatenate([f + step, f - step])))
+        if out.shape[:1] != (2 * m,):
+            raise ValueError(f"fn must map the ({2 * m}, {n}) probe stack to {2 * m} "
+                             f"rows, got shape {out.shape}")
+        columns.append((out[:m] - out[m:]) / (2.0 * h))
+    return np.moveaxis(np.concatenate(columns), 0, -1)
 
 
 def fd_gradient(objective: Callable[[NDArray[np.float64]], NDArray[np.float64]],
@@ -388,7 +384,8 @@ def fd_gradient(objective: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     """Central-difference gradient of a scalar objective at a filter point.
 
     ``objective`` maps an (m, n) stack of filters to their m values, and is
-    called once, on the 2n probes ``f +- h e_i``. With the public
+    called on the 2n probes ``f +- h e_i``, at most ``2 * FD_BLOCK_PAIRS``
+    of them per call (one call for n <= ``FD_BLOCK_PAIRS``). With the public
     :func:`~vorafilter.vora.filtered_vora_value`, which takes such stacks,
     that is ``lambda p: filtered_vora_value(camera, observer, p)``; a
     per-filter objective ``obj`` fits as
@@ -408,7 +405,8 @@ def fd_hessian(gradient_fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]
     """Central-difference Jacobian of a gradient function at a filter point.
 
     ``gradient_fn`` maps an (m, n) stack of filters to their (m, n)
-    gradients, and is called once, on the 2n probes ``f +- h e_i``; entry
+    gradients, and is called on the 2n probes ``f +- h e_i`` in blocks as
+    :func:`fd_gradient` calls its objective; entry
     ``(j, i)`` of the result is the difference of gradient entry ``j`` along
     ``e_i``. The stacked public :func:`gradient` fits as
     ``lambda p: gradient(camera, observer, p)``. The point and ``h`` are

@@ -4,12 +4,12 @@ Three subcommands:
 
 evaluate  print the (filtered) Vora-Value of a camera against an observer
 optimize  design a prefilter maximizing the filtered Vora-Value
-check     verify the analytic calculus against finite differences and the
-          structural identities on random filters
+check     verify the analytic calculus, including the factored Hessian the
+          optimizer runs, against finite differences and the structural
+          identities on random filters
 
 Exit codes: 0 success, 2 input error, 3 optimization stalled, 4 verification
-failure, 5 asymmetric Hessian assembly (a numerical bug, not bad input;
-only ``check`` assembles the dense Hessian, so only it can exit 5).
+failure.
 Outputs are pure functions of (input files, flags, seed); re-running
 a command reproduces its CSV/JSON output byte for byte.
 """
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .calculus import fd_gradient, fd_hessian, gradient, hessian, make_basis, newton_step
-from .errors import AsymmetricHessian, NoAscent, VoraFilterError
+from .errors import NoAscent, VoraFilterError
 from .optimize import OptimizerConfig, optimize
 from .spectral import (
     DEFAULT_GRID,
@@ -42,7 +42,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_STALLED = 3
 EXIT_VERIFY = 4
-EXIT_ASYMMETRY = 5
 
 SCHEMA_VERSION = "1"
 DATA_ENV_VAR = "VORA_FILTER_DATA"
@@ -374,11 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_check(args)
     except (VoraFilterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, NoAscent):
-            return EXIT_STALLED
-        if isinstance(exc, AsymmetricHessian):
-            return EXIT_ASYMMETRY
-        return EXIT_INPUT
+        return EXIT_STALLED if isinstance(exc, NoAscent) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -56,9 +56,5 @@ class SingularSystem(VoraFilterError):
     """The regularized Newton system could not be solved."""
 
 
-class AsymmetricHessian(VoraFilterError, ArithmeticError):
-    """Hessian assembly is asymmetric beyond round-off: a bug, not bad input."""
-
-
 class NoAscent(VoraFilterError):
     """The first optimizer iteration found no improving step."""

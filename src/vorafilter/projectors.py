@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import RankDeficient, ShapeMismatch
-from .spectral import numerical_rank
+from .spectral import _ranks
 
 
 def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -29,19 +29,23 @@ def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
         raise ShapeMismatch(f"expected a tall n x k matrix, got {m.shape}")
-    deficient = numerical_rank(m) < m.shape[-1]
-    # One matrix gives a plain bool, tested as is: np.any would wrap it in an
-    # array on every call of the value path.
+    q, r = np.linalg.qr(m)
+    # The k x k R has the singular values of the n x k input, so the rank
+    # check costs no SVD of the input itself.
+    deficient = _ranks(np.linalg.svd(r, compute_uv=False), m.shape) < m.shape[-1]
+    # One matrix gives a NumPy scalar bool, tested directly: .any() would add
+    # a call on every evaluation of the value path.
     if deficient if m.ndim == 2 else deficient.any():
         raise RankDeficient(
             f"matrix of shape {m.shape} has numerical rank < {m.shape[-1]}"
         )
-    q, _ = np.linalg.qr(m)
     return q
 
 
 def _orthonormal_columns_unchecked(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """QR basis without the rank guard, for inputs that are full rank by
-    construction (rank-checked sensors, or a positive filter times them)."""
+    """QR basis without the rank guard: for sensor responses that
+    :class:`SensorSet` has already rank-checked, and for the optimizer's
+    filtered cameras, which skip the guard's cost (see
+    ``calculus._Kernel.filtered_basis``)."""
     q, _ = np.linalg.qr(matrix)
     return q

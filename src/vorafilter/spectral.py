@@ -77,11 +77,16 @@ def numerical_rank(matrix: NDArray[np.float64]) -> int | NDArray[np.intp]:
     one stacked SVD.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    s = np.linalg.svd(m, compute_uv=False)
-    # Each member against its own threshold; an all-zero member has rank 0.
-    tol = s[..., :1] * max(m.shape[-2:]) * np.finfo(np.float64).eps * 1e3
-    ranks = (s > tol).sum(axis=-1)
+    ranks = _ranks(np.linalg.svd(m, compute_uv=False), m.shape)
     return int(ranks) if m.ndim == 2 else ranks
+
+
+def _ranks(s: NDArray[np.float64], shape: tuple[int, ...]) -> NDArray[np.intp]:
+    """Ranks of ``(..., n, k)`` matrices of ``shape`` from their singular
+    values ``s`` ``(..., k)``, by :func:`numerical_rank`'s threshold."""
+    # Each member against its own threshold; an all-zero member has rank 0.
+    tol = s[..., :1] * max(shape[-2:]) * np.finfo(np.float64).eps * 1e3
+    return (s > tol).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,8 @@ Nothing here shares code with the package's evaluation paths:
   arithmetic (after cycling the trace down to 3x3 factors), so the oracle
   value is exact for the given float inputs.
 * Projectors are recomputed from the same definition in floats.
+* The Hessian is assembled densely from the paper's Hadamard-product
+  expression, not from the package's ``diag(d) + U U^T`` factors.
 * The random-search baseline evaluates filters with its own stacked QR.
 """
 
@@ -67,6 +69,33 @@ def projector_normal_equations(matrix: np.ndarray) -> np.ndarray:
     """P = M (M^T M)^-1 M^T computed by a float linear solve."""
     m = np.asarray(matrix, dtype=np.float64)
     return m @ np.linalg.solve(m.T @ m, m.T)
+
+
+def paper_hessian(camera: np.ndarray, observer: np.ndarray,
+                  f: np.ndarray) -> np.ndarray:
+    """The paper's Hessian of the filtered Vora-Value, assembled densely:
+
+        (2/3) [ -2 (CB) o ((I - 2B) A B C) + (CBC) o ((I - 2B) A)
+                - (C B A B C) o I ]
+
+    with ``A = P{X}``, ``B = P{FQ}``, ``C = F^-1`` and ``o`` the elementwise
+    product. Not symmetrized: the expression is symmetric in exact
+    arithmetic, so its asymmetry measures the round-off of the assembly.
+    Projectors come from NumPy's QR, which stays accurate for the
+    ill-conditioned filtered cameras the normal equations would lose.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    w = np.linalg.qr(f[:, None] * np.asarray(camera, dtype=np.float64))[0]
+    v = np.linalg.qr(np.asarray(observer, dtype=np.float64))[0]
+    b, a = w @ w.T, v @ v.T
+    ab = a @ b
+    bab = b @ ab
+    cb = b / f[:, None]
+    term1 = -2.0 * cb * ((ab - 2.0 * bab) / f[None, :])
+    term2 = (cb / f[None, :]) * (a - 2.0 * ab.T)
+    h = (2.0 / 3.0) * (term1 + term2)
+    h[np.diag_indices_from(h)] -= (2.0 / 3.0) * np.einsum("ij,ji->i", b, ab) / (f * f)
+    return h
 
 
 def batched_vora_values(filters: np.ndarray, camera: np.ndarray,

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import make_random_camera, make_random_filter, random_instances
+from oracles import paper_hessian
 from vorafilter import (
     BadBasisSpec,
     DEFAULT_GRID,
     FilterSpectrum,
     NonPositiveFilter,
     OptimizerConfig,
+    RankDeficient,
     SensorSet,
     StepTooLarge,
     fd_gradient,
@@ -27,7 +31,7 @@ from vorafilter import (
     newton_step,
     resample_to_grid,
 )
-from vorafilter.calculus import _hessian_factors, _vora_hessian_raw
+from vorafilter.calculus import FD_BLOCK_PAIRS, _hessian_factors
 from vorafilter.optimize import _RunState
 from vorafilter.projectors import orthonormal_columns
 
@@ -146,10 +150,7 @@ class TestHessian:
             got = hessian(camera, observer, filt, alpha=0.0).matrix
             want = fd_hessian(gradient_fn(camera, observer), filt, h=1e-5)
             worst = max(worst, rel_err(got, want))
-            f = filt.transmittance
-            b = orthonormal_columns(f[:, None] * camera.responses)
-            v = orthonormal_columns(observer.responses)
-            raw = _vora_hessian_raw(b @ b.T, v @ v.T, f)
+            raw = paper_hessian(camera.responses, observer.responses, filt.transmittance)
             worst_asym = max(worst_asym, float(np.max(np.abs(raw - raw.T))))
         assert worst < 1e-4
         assert worst_asym < 1e-9
@@ -292,6 +293,29 @@ class TestFloorHuggingFilters:
         assert abs(f @ g) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
         assert np.max(np.abs(g + h @ f)) < 1e-8
 
+    def test_rank_deficient_filtered_camera_raises(self, camera, observer):
+        # Transmittance 1e-200 on all rows but two leaves diag(f) Q of
+        # numerical rank 2: every public derivative raises RankDeficient, as
+        # the value does, with no floating-point warning on the way.
+        f = np.full(N, 1e-200)
+        f[15:17] = 1.0
+        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f, tau_min=1e-300)
+        identity = make_basis("identity", N, DEFAULT_GRID)
+        calls = [
+            lambda: filtered_vora_value(camera, observer, filt),
+            lambda: gradient(camera, observer, filt),
+            lambda: gradient(camera, observer, np.vstack([np.ones(N), f])),
+            lambda: gradient_in_basis(camera, observer, identity, f),
+            lambda: hessian(camera, observer, filt),
+            lambda: hessian_in_basis(camera, observer, identity, f),
+            lambda: newton_step(camera, observer, filt, 1e-4),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in calls:
+                with pytest.raises(RankDeficient):
+                    call()
+
 
 def fine_grid_instance(cie_table, n, floor):
     """The CIE observer and the Gaussian camera on an n-sample 400-700 nm
@@ -383,24 +407,26 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
 @pytest.mark.parametrize("floor", [False, True], ids=["random", "floor"])
 @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1e-4])
 def test_factored_operator_matches_dense_assembly(cie_table, n, floor, alpha):
-    """``diag(d) + U U^T`` is the dense ``H + alpha I``, and the Woodbury
-    Newton solve on it is backward stable and agrees with the dense solve."""
+    """``diag(d) + U U^T``, which :func:`hessian` returns, is the paper's
+    dense ``H + alpha I``, and the Woodbury Newton solve on it is backward
+    stable and agrees with the dense solve."""
     grid, camera, observer, f = fine_grid_instance(cie_table, n, floor)
     filt = FilterSpectrum(grid=grid, transmittance=f, tau_min=1e-12, tau_max=np.inf)
-    dense = hessian(camera, observer, filt, alpha=alpha).matrix
 
+    def dense_operator(point):
+        return paper_hessian(camera.responses, observer.responses, point) + alpha * np.eye(n)
+
+    dense = dense_operator(f)
     w = orthonormal_columns(f[:, None] * camera.responses)
     d, u = _hessian_factors(w, orthonormal_columns(observer.responses), f, alpha)
     assert u.shape == (n, 9)
-    factored = np.diag(d) + u @ u.T
+    factored = hessian(camera, observer, filt, alpha=alpha).matrix
+    assert np.array_equal(factored, np.diag(d) + u @ u.T)
     assert rel_err(factored, dense) <= 1e-12
 
     basis = make_basis("cosine", 8, grid)
     coeffs = basis_coefficients(basis, f)
-    smooth = FilterSpectrum(grid=grid, transmittance=basis.basis @ coeffs,
-                            tau_min=1e-12, tau_max=np.inf)
-    dense_basis = (basis.basis.T @ hessian(camera, observer, smooth, alpha=alpha).matrix
-                   @ basis.basis)
+    dense_basis = basis.basis.T @ dense_operator(basis.basis @ coeffs) @ basis.basis
     assert rel_err(hessian_in_basis(camera, observer, basis, coeffs, alpha),
                    dense_basis) <= 1e-12
 
@@ -456,7 +482,7 @@ class TestStackedEvaluation:
         assert np.array_equal(h_fd, one_probe_at_a_time(
             lambda v: gradient(camera, observer, probe(v)).values, f, 1e-5))
 
-    def test_oracle_calls_fn_once_on_the_probe_stack(self, cie_table, n):
+    def test_oracle_calls_fn_once_per_probe_block(self, cie_table, n):
         _, _, _, f = fine_grid_instance(cie_table, n, floor=False)
         h = 1e-6
         calls = []
@@ -466,11 +492,16 @@ class TestStackedEvaluation:
             return probes.sum(axis=1)
 
         fd_gradient(fn, f, h=h)
-        assert len(calls) == 1
-        assert calls[0].shape == (2 * n, n)
-        for i in range(n):
-            fp, fm = f.copy(), f.copy()
-            fp[i] += h
-            fm[i] -= h
-            assert np.array_equal(calls[0][i], fp)
-            assert np.array_equal(calls[0][n + i], fm)
+        assert len(calls) == -(-n // FD_BLOCK_PAIRS)
+        start = 0
+        for probes in calls:
+            m = len(probes) // 2
+            assert probes.shape == (2 * m, n) and 1 <= m <= FD_BLOCK_PAIRS
+            for j, i in enumerate(range(start, start + m)):
+                fp, fm = f.copy(), f.copy()
+                fp[i] += h
+                fm[i] -= h
+                assert np.array_equal(probes[j], fp)
+                assert np.array_equal(probes[m + j], fm)
+            start += m
+        assert start == n

@@ -11,7 +11,6 @@ import pytest
 from conftest import cie_csv_text, sabotage_gradient
 from vorafilter import (
     DEFAULT_GRID,
-    FilterSpectrum,
     format_spectral_csv,
     make_basis,
     optimize,
@@ -289,20 +288,6 @@ class TestCheck:
         err = capsys.readouterr().err
         assert code == 2
         assert "trials" in err
-
-    def test_asymmetric_hessian_exits_5(self, capsys, monkeypatch, camera,
-                                        observer):
-        import vorafilter.calculus as calculus
-        skew = np.triu(np.ones((DEFAULT_GRID.count, DEFAULT_GRID.count)))
-        monkeypatch.setattr(calculus, "_vora_hessian_raw", lambda b, a, f: skew)
-        code = main(["check", "--trials", "1"])
-        err = capsys.readouterr().err
-        assert code == 5
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-        with pytest.raises(ArithmeticError):
-            calculus.hessian(camera, observer,
-                             FilterSpectrum.ones(DEFAULT_GRID))
 
 
 class TestDataEnvVar:
