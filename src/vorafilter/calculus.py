@@ -13,7 +13,9 @@ Writing ``A = P{X}``, ``B = P{FQ}`` and ``C = F^-1``, the closed forms are
 
 with ``o`` the elementwise product. Both projectors have rank 3: ``B = W W^T``
 with ``W`` the QR basis of ``F Q`` and ``A = V V^T`` with ``V`` that of the
-observer. With ``M = W^T V`` (3 x 3), ``R = W M`` and ``Z = V - 2R`` (so that
+observer, both rank-checked, so a filter that leaves ``F Q`` rank deficient
+raises ``RankDeficient`` in every consumer, the optimizer included. With
+``M = W^T V`` (3 x 3), ``R = W M`` and ``Z = V - 2R`` (so that
 ``(I - 2B) A (I - 2B) = Z Z^T``), row ``i`` of each gives
 
     grad_i           = (2/3) r_i . (v_i - r_i) / f_i
@@ -39,7 +41,8 @@ for both derivative orders. Each calls its function on stacks of the probes
 and :func:`~vorafilter.vora.filtered_vora_value` take such stacks, checked
 once and factored in one stacked QR, and return each row's per-filter result
 bit for bit. The optimizer (:mod:`vorafilter.optimize`) builds its models from
-the kernel and factors here and has no closed form of its own.
+the kernel and factors here, on the one basis ``W`` it values each filter
+with, and has no closed form of its own.
 """
 
 from __future__ import annotations
@@ -51,10 +54,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BadBasisSpec, SingularSystem, StepTooLarge
-from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
+from .projectors import orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
                        _require_same_grid, numerical_rank)
-from .vora import _vora_of_bases
 
 # Validation bound for the symmetry of a HessianMatrix.
 HESSIAN_SYMMETRY_TOL = 1e-10
@@ -226,32 +228,23 @@ class _Kernel:
     """The closed forms for one (camera, observer) pair.
 
     The observer basis ``V`` is built once; each filter then costs one QR of
-    ``diag(f) Q`` (rank-checked through its ``R`` for the public calls),
-    whose basis ``W`` the gradient and the Hessian factors share. Nothing here forms an n x n
-    matrix. The bases, value and gradient also take stacks: filters
-    ``(..., n)`` and bases ``(..., n, 3)``.
+    ``diag(f) Q``, rank-checked through its ``R`` for the public calls and
+    the optimizer alike, whose basis ``W`` the value, the gradient and the
+    Hessian factors share. Nothing here forms an n x n matrix. The basis and
+    the gradient also take stacks: filters ``(..., n)`` and bases
+    ``(..., n, 3)``.
     """
 
     def __init__(self, camera: SensorSet, observer: SensorSet,
                  *grids: WavelengthGrid) -> None:
         _require_same_grid(camera.grid, observer.grid, *grids)
         self.q = camera.responses
-        # SensorSet rank-checks its read-only responses on construction.
-        self.v = _orthonormal_columns_unchecked(observer.responses)
+        self.v = orthonormal_columns(observer.responses)
 
     def filtered_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
-        # Unchecked, for the optimizer: the rank check costs about 20 us a
-        # call (a 3 x 3 SVD and its threshold), +22-25% on the design-paper
-        # and design-fine optimize jobs in an in-process A/B.
-        return _orthonormal_columns_unchecked(f[..., :, None] * self.q)
-
-    def checked_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
-        # A filter from outside can make diag(f) Q numerically rank
-        # deficient (near-zero transmittance on all but two rows, say).
+        # A filter can make diag(f) Q numerically rank deficient (near-zero
+        # transmittance on all but two rows, say).
         return orthonormal_columns(f[..., :, None] * self.q)
-
-    def value(self, f: NDArray[np.float64]) -> float:
-        return _vora_of_bases(self.filtered_basis(f), self.v)
 
     def gradient(self, w: NDArray[np.float64],
                  f: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -279,7 +272,7 @@ def gradient(camera: SensorSet, observer: SensorSet,
     """
     kernel = _Kernel(camera, observer)
     f = _filter_values(filt, camera.grid)
-    values = kernel.gradient(kernel.checked_basis(f), f)
+    values = kernel.gradient(kernel.filtered_basis(f), f)
     if isinstance(filt, FilterSpectrum):
         return GradientVector(grid=filt.grid, values=values)
     if not np.all(np.isfinite(values)):
@@ -292,7 +285,7 @@ def gradient_in_basis(camera: SensorSet, observer: SensorSet,
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
     kernel = _Kernel(camera, observer, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return basis.basis.T @ kernel.gradient(kernel.checked_basis(f), f)
+    return basis.basis.T @ kernel.gradient(kernel.filtered_basis(f), f)
 
 
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -311,7 +304,7 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
     return HessianMatrix(matrix=_dense_operator(
-        *_hessian_factors(kernel.checked_basis(f), kernel.v, f, alpha)))
+        *_hessian_factors(kernel.filtered_basis(f), kernel.v, f, alpha)))
 
 
 def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
@@ -322,7 +315,7 @@ def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
         raise ValueError("alpha must be finite and nonnegative")
     kernel = _Kernel(camera, observer, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return _basis_hessian(*_hessian_factors(kernel.checked_basis(f), kernel.v, f, alpha),
+    return _basis_hessian(*_hessian_factors(kernel.filtered_basis(f), kernel.v, f, alpha),
                           basis.basis)
 
 
@@ -341,7 +334,7 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise ValueError("alpha must be positive and finite for a Newton step")
     kernel = _Kernel(camera, observer, filt.grid)
     f = filt.transmittance
-    w = kernel.checked_basis(f)
+    w = kernel.filtered_basis(f)
     d, u = _hessian_factors(w, kernel.v, f, alpha)
     try:
         return _woodbury_solve(d, u, -(kernel.gradient(w, f) + alpha * f))

@@ -53,6 +53,11 @@ reported ``mu`` and in the closed-form
 :func:`~vorafilter.calculus.newton_step`. Every accepted
 step must strictly increase the value, so reported traces are monotone by
 construction.
+
+Each filter a run evaluates is factored once, by the rank-checked QR: the
+basis of ``diag(f) Q`` that values an accepted trial is the one the next
+model is built on, and a rank-deficient start filter or trial raises
+:class:`~vorafilter.errors.RankDeficient` as the public calls do.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .errors import NoAscent, NonPositiveFilter
 from .projectors import orthonormal_columns  # noqa: F401
 from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
                        _filter_values)
+from .vora import _vora_of_bases
 
 _METHODS = ("grad", "newton")
 _INITS = ("ones", "random")
@@ -275,7 +281,8 @@ def _cut_back(f: NDArray[np.float64], u: NDArray[np.float64],
 
 
 class _RunState:
-    """Innards of one optimization run: iterate ``x``, its filter ``f``, value."""
+    """Innards of one optimization run: iterate ``x``, its filter ``f``, the
+    basis ``w`` of ``diag(f) Q`` and the value."""
 
     def __init__(self, camera: SensorSet, observer: SensorSet,
                  config: OptimizerConfig,
@@ -298,7 +305,8 @@ class _RunState:
         else:
             self.gauge = self._gauge_coeffs
             self.x, self.f = self._feasible_coeffs(f0)
-        self.value = self.kernel.value(self.f)
+        self.w = self.kernel.filtered_basis(self.f)
+        self.value = _vora_of_bases(self.w, self.kernel.v)
         self.radius = _RADIUS_INIT  # trust region, relative to |x|
         self.previous = None  # (x, g) at the last iterate, for grad's model
 
@@ -380,9 +388,8 @@ class _RunState:
         the iterate and gradient for the next call's model.
         """
         cfg = self.config
-        w = self.kernel.filtered_basis(self.f)
-        g = self.kernel.gradient(w, self.f)
-        d, u = _hessian_factors(w, self.kernel.v, self.f, 0.0)
+        g = self.kernel.gradient(self.w, self.f)
+        d, u = _hessian_factors(self.w, self.kernel.v, self.f, 0.0)
         if cfg.method == "grad":
             d, u = self._spectral_diagonal(g, d), u[:, :0]
         if self.basis is not None:
@@ -486,7 +493,8 @@ class _RunState:
 
     def trust_region(self, solve: Callable[[float], tuple[NDArray[np.float64], float]]):
         """First trust-region step that strictly increases the objective, as
-        (x, f, value, step_len, rejected trials); None if there is none."""
+        (x, f, w, value, step_len, rejected trials) with ``w`` the basis that
+        valued it; None if there is none."""
         x_norm = float(np.linalg.norm(self.x))
         radius = self.radius * x_norm
         for rejected in range(_MAX_BACKTRACKS):
@@ -494,7 +502,8 @@ class _RunState:
             step_len = float(np.linalg.norm(step))
             # A step the model does not expect to gain is rejected untried.
             gauged = self.gauge(self.x + step) if predicted > 0.0 else None
-            v_t = -np.inf if gauged is None else self.kernel.value(gauged[1])
+            w_t = None if gauged is None else self.kernel.filtered_basis(gauged[1])
+            v_t = -np.inf if gauged is None else _vora_of_bases(w_t, self.kernel.v)
             ratio = -np.inf if gauged is None else (v_t - self.value) / predicted
             if ratio < _RATIO_LOW:
                 radius = _RADIUS_SHRINK * step_len
@@ -502,7 +511,7 @@ class _RunState:
                 radius = min(max(radius, 2.0 * step_len), _RADIUS_MAX * x_norm)
             if v_t > self.value:
                 self.radius = radius / x_norm
-                return *gauged, v_t, step_len, rejected
+                return *gauged, w_t, v_t, step_len, rejected
         return None
 
 
@@ -521,7 +530,8 @@ def optimize(camera: SensorSet, observer: SensorSet,
     max_iters       iteration budget exhausted
 
     Raises :class:`NoAscent` if the first iteration finds no improving step
-    while the gradient is still meaningfully nonzero.
+    while the gradient is still meaningfully nonzero (see the module
+    docstring for :class:`~vorafilter.errors.RankDeficient`).
     """
     cfg = config if config is not None else OptimizerConfig()
     state = _RunState(camera, observer, cfg, initial_filter)
@@ -552,8 +562,8 @@ def optimize(camera: SensorSet, observer: SensorSet,
                 termination = "converged_obj"
             break
 
-        gain = best[2] - state.value
-        state.x, state.f, state.value, step_len, backtracks = best
+        gain = best[3] - state.value
+        state.x, state.f, state.w, state.value, step_len, backtracks = best
         rows.append(IterationRecord(it, state.value, state.mu(), step_len, grad_norm,
                                     backtracks))
         small_steps = small_steps + 1 if gain < cfg.tol_obj else 0

@@ -5,7 +5,8 @@ evaluation here. They are always built from an orthonormal factorization
 (``P = V V^T``), never from the normal-equations inverse ``M (M^T M)^-1 M^T``:
 the two agree algebraically, but the factorized route stays accurate when the
 generating matrix is badly conditioned, e.g. a camera seen through a filter
-that is nearly opaque at some wavelengths.
+that is nearly opaque at some wavelengths. :func:`orthonormal_columns` is the
+package's only QR, so every basis, the optimizer's included, is rank-checked.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     Gram-Schmidt accuracy contract (``basis^T basis = I`` to machine
     precision) and is deterministic for a fixed input. A stack
     ``(..., n, k)`` gives the stack of bases, each bit for bit the basis of
-    its member; one rank-deficient member raises for the whole stack.
+    its member; one rank-deficient member raises :class:`RankDeficient` for
+    the whole stack. Sensor responses, filtered cameras and the optimizer's
+    trial filters all take this one path.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
@@ -39,13 +42,4 @@ def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
         raise RankDeficient(
             f"matrix of shape {m.shape} has numerical rank < {m.shape[-1]}"
         )
-    return q
-
-
-def _orthonormal_columns_unchecked(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """QR basis without the rank guard: for sensor responses that
-    :class:`SensorSet` has already rank-checked, and for the optimizer's
-    filtered cameras, which skip the guard's cost (see
-    ``calculus._Kernel.filtered_basis``)."""
-    q, _ = np.linalg.qr(matrix)
     return q

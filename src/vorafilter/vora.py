@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .projectors import _orthonormal_columns_unchecked, orthonormal_columns
+from .projectors import orthonormal_columns
 from .spectral import FilterSpectrum, SensorSet, _filter_values, _require_same_grid
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
@@ -62,9 +62,8 @@ def _vora_of_bases(w: NDArray[np.float64],
 def vora_value(camera: SensorSet, observer: SensorSet) -> VoraValue:
     """Similarity of the camera and observer sensor spaces, in [0, 1]."""
     _require_same_grid(camera.grid, observer.grid)
-    # SensorSet rank-checks its read-only responses on construction.
-    return VoraValue(_vora_of_bases(_orthonormal_columns_unchecked(camera.responses),
-                                    _orthonormal_columns_unchecked(observer.responses)))
+    return VoraValue(_vora_of_bases(orthonormal_columns(camera.responses),
+                                    orthonormal_columns(observer.responses)))
 
 
 def filtered_vora_value(camera: SensorSet, observer: SensorSet,
@@ -83,9 +82,8 @@ def filtered_vora_value(camera: SensorSet, observer: SensorSet,
     """
     _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
-    # The filter is outside input, so the filtered camera keeps its rank check.
     w = orthonormal_columns(f[..., :, None] * camera.responses)
-    raw = _vora_of_bases(w, _orthonormal_columns_unchecked(observer.responses))
+    raw = _vora_of_bases(w, orthonormal_columns(observer.responses))
     if isinstance(filt, FilterSpectrum):
         return VoraValue(raw)
     if not np.all((-RANGE_TOL <= raw) & (raw <= 1.0 + RANGE_TOL)):

@@ -203,6 +203,18 @@ class TestOptimize:
         assert code == 3
         assert err == "error: no improving step at iteration 1\n"
 
+    def test_rank_deficient_start_filter_exits_2(self, capsys, tmp_path):
+        # A start filter that leaves the filtered camera of rank 2 is an
+        # input error, not a stalled run.
+        trans = np.full(DEFAULT_GRID.count, 1e-200)
+        trans[15:17] = 1.0
+        fpath = tmp_path / "underflow.csv"
+        fpath.write_text(format_spectral_csv(DEFAULT_GRID.wavelengths, trans,
+                                             ("transmittance",)), encoding="utf-8")
+        code = main(["optimize", "--filter", str(fpath), "--tau-min", "1e-300"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_no_flags_run_the_library_defaults(self, capsys, camera, observer):
         code = main(["optimize", "--json"])
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])

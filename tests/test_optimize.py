@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vorafilter import (
     FilterSpectrum,
     NoAscent,
     OptimizerConfig,
+    RankDeficient,
     SensorSet,
     SingularSystem,
     WavelengthGrid,
@@ -27,7 +29,7 @@ from vorafilter import (
     resample_to_grid,
     vora_value,
 )
-from vorafilter.calculus import _hessian_factors
+from vorafilter.calculus import _hessian_factors, _Kernel
 from vorafilter.optimize import (
     _RADIUS_INIT,
     _RADIUS_MAX,
@@ -604,6 +606,38 @@ class TestTermination:
                           OptimizerConfig(method="grad", max_iters=5))
         assert report.termination == "max_iters"
         assert report.accepted_steps == 5
+
+
+class TestOneBasisPerFilter:
+    @pytest.mark.parametrize("method", ["grad", "newton"])
+    def test_rank_deficient_start_raises(self, camera, observer, method):
+        # Transmittance 1e-200 on all rows but two leaves diag(f) Q of
+        # numerical rank 2: the run raises RankDeficient, as the public calls
+        # do, before any floating-point warning.
+        f = np.full(N, 1e-200)
+        f[15:17] = 1.0
+        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f, tau_min=1e-300)
+        config = OptimizerConfig(method=method, tau_min=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankDeficient):
+                optimize(camera, observer, config, filt)
+
+    def test_each_evaluated_filter_is_factored_once(self, monkeypatch, camera, observer):
+        # One QR for the start filter and one per trial valued; an accepted
+        # trial's basis is the one the next model is built on.
+        factor = _Kernel.filtered_basis
+        calls = []
+
+        def counted(kernel, f):
+            calls.append(f)
+            return factor(kernel, f)
+
+        monkeypatch.setattr(_Kernel, "filtered_basis", counted)
+        report = optimize(camera, observer, OptimizerConfig())
+        backtracks = sum(row.backtracks for row in report.iterations)
+        assert report.accepted_steps > 0
+        assert len(calls) <= 1 + report.accepted_steps + backtracks
 
 
 class TestConfigValidation:
