@@ -53,11 +53,11 @@ from .spectral import (
     gaussian_camera,
     load_filter_spectrum,
     load_sensor_set,
-    numerical_rank,
     parse_spectral_csv,
     resample_to_grid,
     write_filter_csv,
 )
+from .projectors import numerical_rank
 from .vora import VoraValue, filtered_vora_value, regularized_objective, vora_value
 
 __version__ = "0.1.0"

@@ -12,8 +12,9 @@ Writing ``A = P{X}``, ``B = P{FQ}`` and ``C = F^-1``, the closed forms are
                            -  (C B A B C) o I ]
 
 with ``o`` the elementwise product. Both projectors have rank 3: ``B = W W^T``
-with ``W`` the QR basis of ``F Q`` and ``A = V V^T`` with ``V`` that of the
-observer, both rank-checked, so a filter that leaves ``F Q`` rank deficient
+with ``W`` the QR basis of ``F Q`` and ``A = V V^T`` with ``V`` the observer's
+``SensorSet.basis``, built once with the set. Both are rank-checked, and
+each call factors only ``F Q``, so a filter that leaves it rank deficient
 raises ``RankDeficient`` in every consumer, the optimizer included. With
 ``M = W^T V`` (3 x 3), ``R = W M`` and ``Z = V - 2R`` (so that
 ``(I - 2B) A (I - 2B) = Z Z^T``), row ``i`` of each gives
@@ -41,8 +42,8 @@ for both derivative orders. Each calls its function on stacks of the probes
 and :func:`~vorafilter.vora.filtered_vora_value` take such stacks, checked
 once and factored in one stacked QR, and return each row's per-filter result
 bit for bit. The optimizer (:mod:`vorafilter.optimize`) builds its models from
-the kernel and factors here, on the one basis ``W`` it values each filter
-with, and has no closed form of its own.
+the basis, gradient and Hessian factors here, on the one basis ``W`` it
+values each filter with, and has no closed form of its own.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BadBasisSpec, SingularSystem, StepTooLarge
-from .projectors import orthonormal_columns
+from .projectors import numerical_rank, orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
-                       _require_same_grid, numerical_rank)
+                       _require_same_grid)
 
 # Validation bound for the symmetry of a HessianMatrix.
 HESSIAN_SYMMETRY_TOL = 1e-10
@@ -224,32 +225,19 @@ def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
     return np.linalg.solve(_dense_operator(d, u), rhs)
 
 
-class _Kernel:
-    """The closed forms for one (camera, observer) pair.
+def _filtered_basis(camera: SensorSet, f: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The rank-checked basis ``W`` of ``diag(f) Q``; filters ``(..., n)``
+    give the stack of bases. A filter can leave ``diag(f) Q`` numerically
+    rank deficient (near-zero transmittance on all but two rows, say)."""
+    return orthonormal_columns(f[..., :, None] * camera.responses)
 
-    The observer basis ``V`` is built once; each filter then costs one QR of
-    ``diag(f) Q``, rank-checked through its ``R`` for the public calls and
-    the optimizer alike, whose basis ``W`` the value, the gradient and the
-    Hessian factors share. Nothing here forms an n x n matrix. The basis and
-    the gradient also take stacks: filters ``(..., n)`` and bases
-    ``(..., n, 3)``.
-    """
 
-    def __init__(self, camera: SensorSet, observer: SensorSet,
-                 *grids: WavelengthGrid) -> None:
-        _require_same_grid(camera.grid, observer.grid, *grids)
-        self.q = camera.responses
-        self.v = orthonormal_columns(observer.responses)
-
-    def filtered_basis(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
-        # A filter can make diag(f) Q numerically rank deficient (near-zero
-        # transmittance on all but two rows, say).
-        return orthonormal_columns(f[..., :, None] * self.q)
-
-    def gradient(self, w: NDArray[np.float64],
-                 f: NDArray[np.float64]) -> NDArray[np.float64]:
-        r = w @ (w.swapaxes(-1, -2) @ self.v)
-        return (2.0 / 3.0) * np.einsum("...ij,...ij->...i", r, self.v - r) / f
+def _gradient(w: NDArray[np.float64], v: NDArray[np.float64],
+              f: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The gradient from the bases ``W`` of ``diag(f) Q`` and ``V`` of the
+    observer, in O(n); stacks ``(..., n, 3)`` and ``(..., n)`` too."""
+    r = w @ (w.swapaxes(-1, -2) @ v)
+    return (2.0 / 3.0) * np.einsum("...ij,...ij->...i", r, v - r) / f
 
 
 def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -270,9 +258,9 @@ def gradient(camera: SensorSet, observer: SensorSet,
     The result is then the (m, n) array of their gradients, row ``i`` bit
     for bit the gradient of row ``i`` evaluated alone, from one stacked QR.
     """
-    kernel = _Kernel(camera, observer)
+    _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
-    values = kernel.gradient(kernel.filtered_basis(f), f)
+    values = _gradient(_filtered_basis(camera, f), observer.basis, f)
     if isinstance(filt, FilterSpectrum):
         return GradientVector(grid=filt.grid, values=values)
     if not np.all(np.isfinite(values)):
@@ -283,9 +271,9 @@ def gradient(camera: SensorSet, observer: SensorSet,
 def gradient_in_basis(camera: SensorSet, observer: SensorSet,
                       basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
-    kernel = _Kernel(camera, observer, basis.grid)
+    _require_same_grid(camera.grid, observer.grid, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return basis.basis.T @ kernel.gradient(kernel.filtered_basis(f), f)
+    return basis.basis.T @ _gradient(_filtered_basis(camera, f), observer.basis, f)
 
 
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -301,10 +289,10 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    kernel = _Kernel(camera, observer, filt.grid)
+    _require_same_grid(camera.grid, observer.grid, filt.grid)
     f = filt.transmittance
     return HessianMatrix(matrix=_dense_operator(
-        *_hessian_factors(kernel.filtered_basis(f), kernel.v, f, alpha)))
+        *_hessian_factors(_filtered_basis(camera, f), observer.basis, f, alpha)))
 
 
 def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
@@ -313,10 +301,10 @@ def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
     from the factored operator in O(n k^2) without an n x n matrix."""
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    kernel = _Kernel(camera, observer, basis.grid)
+    _require_same_grid(camera.grid, observer.grid, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return _basis_hessian(*_hessian_factors(kernel.filtered_basis(f), kernel.v, f, alpha),
-                          basis.basis)
+    return _basis_hessian(*_hessian_factors(_filtered_basis(camera, f), observer.basis,
+                                            f, alpha), basis.basis)
 
 
 def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -332,12 +320,12 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     """
     if not 0.0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite for a Newton step")
-    kernel = _Kernel(camera, observer, filt.grid)
+    _require_same_grid(camera.grid, observer.grid, filt.grid)
     f = filt.transmittance
-    w = kernel.filtered_basis(f)
-    d, u = _hessian_factors(w, kernel.v, f, alpha)
+    w = _filtered_basis(camera, f)
+    d, u = _hessian_factors(w, observer.basis, f, alpha)
     try:
-        return _woodbury_solve(d, u, -(kernel.gradient(w, f) + alpha * f))
+        return _woodbury_solve(d, u, -(_gradient(w, observer.basis, f) + alpha * f))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 

@@ -54,9 +54,10 @@ reported ``mu`` and in the closed-form
 step must strictly increase the value, so reported traces are monotone by
 construction.
 
-Each filter a run evaluates is factored once, by the rank-checked QR: the
-basis of ``diag(f) Q`` that values an accepted trial is the one the next
-model is built on, and a rank-deficient start filter or trial raises
+Each filter a run evaluates is factored once, by the rank-checked QR, and
+the observer never: its basis is the ``SensorSet``'s. The basis of
+``diag(f) Q`` that values an accepted trial is the one the next model is
+built on, and a rank-deficient start filter or trial raises
 :class:`~vorafilter.errors.RankDeficient` as the public calls do.
 """
 
@@ -68,12 +69,13 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .calculus import BasisSet, _basis_hessian, _hessian_factors, _Kernel
+from .calculus import (BasisSet, _basis_hessian, _filtered_basis, _gradient,
+                       _hessian_factors)
 from .errors import NoAscent, NonPositiveFilter
 # Not called here: bench/run.py traces QR calls through this module's name.
 from .projectors import orthonormal_columns  # noqa: F401
 from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
-                       _filter_values)
+                       _filter_values, _require_same_grid)
 from .vora import _vora_of_bases
 
 _METHODS = ("grad", "newton")
@@ -129,8 +131,10 @@ class OptimizerConfig:
             raise ValueError("need 0 < tau_min < tau_max <= 1")
         if not 0.0 <= self.alpha < np.inf:
             raise ValueError("alpha must be finite and nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer of at least 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if not (0.0 <= self.tol_obj < np.inf and 0.0 <= self.tol_grad < np.inf):
             raise ValueError("tol_obj and tol_grad must be finite and nonnegative")
 
@@ -282,13 +286,14 @@ def _cut_back(f: NDArray[np.float64], u: NDArray[np.float64],
 
 class _RunState:
     """Innards of one optimization run: iterate ``x``, its filter ``f``, the
-    basis ``w`` of ``diag(f) Q`` and the value."""
+    basis ``w`` of ``diag(f) Q``, the value and the observer's basis ``v``."""
 
     def __init__(self, camera: SensorSet, observer: SensorSet,
                  config: OptimizerConfig,
                  initial_filter: FilterSpectrum | None) -> None:
         grids = () if config.basis is None else (config.basis.grid,)
-        self.kernel = _Kernel(camera, observer, *grids)
+        _require_same_grid(camera.grid, observer.grid, *grids)
+        self.camera, self.v = camera, observer.basis
         self.config = config
         self.grid = camera.grid
         self.basis = config.basis.basis if config.basis is not None else None
@@ -305,8 +310,8 @@ class _RunState:
         else:
             self.gauge = self._gauge_coeffs
             self.x, self.f = self._feasible_coeffs(f0)
-        self.w = self.kernel.filtered_basis(self.f)
-        self.value = _vora_of_bases(self.w, self.kernel.v)
+        self.w = _filtered_basis(camera, self.f)
+        self.value = _vora_of_bases(self.w, self.v)
         self.radius = _RADIUS_INIT  # trust region, relative to |x|
         self.previous = None  # (x, g) at the last iterate, for grad's model
 
@@ -388,8 +393,8 @@ class _RunState:
         the iterate and gradient for the next call's model.
         """
         cfg = self.config
-        g = self.kernel.gradient(self.w, self.f)
-        d, u = _hessian_factors(self.w, self.kernel.v, self.f, 0.0)
+        g = _gradient(self.w, self.v, self.f)
+        d, u = _hessian_factors(self.w, self.v, self.f, 0.0)
         if cfg.method == "grad":
             d, u = self._spectral_diagonal(g, d), u[:, :0]
         if self.basis is not None:
@@ -502,8 +507,8 @@ class _RunState:
             step_len = float(np.linalg.norm(step))
             # A step the model does not expect to gain is rejected untried.
             gauged = self.gauge(self.x + step) if predicted > 0.0 else None
-            w_t = None if gauged is None else self.kernel.filtered_basis(gauged[1])
-            v_t = -np.inf if gauged is None else _vora_of_bases(w_t, self.kernel.v)
+            w_t = None if gauged is None else _filtered_basis(self.camera, gauged[1])
+            v_t = -np.inf if gauged is None else _vora_of_bases(w_t, self.v)
             ratio = -np.inf if gauged is None else (v_t - self.value) / predicted
             if ratio < _RATIO_LOW:
                 radius = _RADIUS_SHRINK * step_len

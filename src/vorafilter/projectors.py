@@ -6,7 +6,8 @@ evaluation here. They are always built from an orthonormal factorization
 the two agree algebraically, but the factorized route stays accurate when the
 generating matrix is badly conditioned, e.g. a camera seen through a filter
 that is nearly opaque at some wavelengths. :func:`orthonormal_columns` is the
-package's only QR, so every basis, the optimizer's included, is rank-checked.
+package's only QR, so every basis is rank-checked, by the threshold of
+:func:`numerical_rank` here; a ``SensorSet`` is factored once, when built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,27 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import RankDeficient, ShapeMismatch
-from .spectral import _ranks
+
+
+def numerical_rank(matrix: NDArray[np.float64]) -> int | NDArray[np.intp]:
+    """Rank from singular values with threshold ``sigma_1 * n * eps * 1e3``.
+
+    The 1e3 safety margin keeps measured (noisy) sensor data from being
+    declared full rank on the strength of pure round-off. An n x k matrix
+    gives an int; a stack ``(..., n, k)`` gives the array of its ranks from
+    one stacked SVD.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    ranks = _ranks(np.linalg.svd(m, compute_uv=False), m.shape)
+    return int(ranks) if m.ndim == 2 else ranks
+
+
+def _ranks(s: NDArray[np.float64], shape: tuple[int, ...]) -> NDArray[np.intp]:
+    """Ranks of ``(..., n, k)`` matrices of ``shape`` from their singular
+    values ``s`` ``(..., k)``, by :func:`numerical_rank`'s threshold."""
+    # Each member against its own threshold; an all-zero member has rank 0.
+    tol = s[..., :1] * max(shape[-2:]) * np.finfo(np.float64).eps * 1e3
+    return (s > tol).sum(axis=-1)
 
 
 def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -25,6 +25,7 @@ from .errors import (
     RankDeficient,
     UnsortedWavelength,
 )
+from .projectors import orthonormal_columns
 
 # Physical transmittance box used when a filter does not carry its own.
 DEFAULT_TAU_MIN = 1e-4
@@ -68,27 +69,6 @@ class WavelengthGrid:
 DEFAULT_GRID = WavelengthGrid()
 
 
-def numerical_rank(matrix: NDArray[np.float64]) -> int | NDArray[np.intp]:
-    """Rank from singular values with threshold ``sigma_1 * n * eps * 1e3``.
-
-    The 1e3 safety margin keeps measured (noisy) sensor data from being
-    declared full rank on the strength of pure round-off. An n x k matrix
-    gives an int; a stack ``(..., n, k)`` gives the array of its ranks from
-    one stacked SVD.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    ranks = _ranks(np.linalg.svd(m, compute_uv=False), m.shape)
-    return int(ranks) if m.ndim == 2 else ranks
-
-
-def _ranks(s: NDArray[np.float64], shape: tuple[int, ...]) -> NDArray[np.intp]:
-    """Ranks of ``(..., n, k)`` matrices of ``shape`` from their singular
-    values ``s`` ``(..., k)``, by :func:`numerical_rank`'s threshold."""
-    # Each member against its own threshold; an all-zero member has rank 0.
-    tol = s[..., :1] * max(shape[-2:]) * np.finfo(np.float64).eps * 1e3
-    return (s > tol).sum(axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class SensorSet:
     """Three-channel sensor responses sampled on a wavelength grid.
@@ -97,11 +77,14 @@ class SensorSet:
     negative (color matching functions obtained by linear transform are).
     The matrix must have full column rank: a rank-deficient sensor set spans
     a degenerate color space and every projector built from it is undefined.
+    The rank is checked by the QR that builds ``basis``, the read-only
+    orthonormal basis of the responses that every evaluation uses.
     """
 
     grid: WavelengthGrid
     responses: NDArray[np.float64]
     channel_names: tuple[str, str, str] = ("c1", "c2", "c3")
+    basis: NDArray[np.float64] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.responses, dtype=np.float64, copy=True)
@@ -111,12 +94,15 @@ class SensorSet:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("responses must be finite")
-        if numerical_rank(arr) < 3:
-            raise RankDeficient("sensor responses have numerical rank < 3")
+        try:
+            basis = orthonormal_columns(arr)
+        except RankDeficient:
+            raise RankDeficient("sensor responses have numerical rank < 3") from None
         names = tuple(str(n) for n in self.channel_names)
         if len(names) != 3:
             raise ValueError("exactly three channel names required")
         object.__setattr__(self, "responses", _readonly(arr))
+        object.__setattr__(self, "basis", _readonly(basis))
         object.__setattr__(self, "channel_names", names)
 
 

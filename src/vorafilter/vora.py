@@ -62,8 +62,7 @@ def _vora_of_bases(w: NDArray[np.float64],
 def vora_value(camera: SensorSet, observer: SensorSet) -> VoraValue:
     """Similarity of the camera and observer sensor spaces, in [0, 1]."""
     _require_same_grid(camera.grid, observer.grid)
-    return VoraValue(_vora_of_bases(orthonormal_columns(camera.responses),
-                                    orthonormal_columns(observer.responses)))
+    return VoraValue(_vora_of_bases(camera.basis, observer.basis))
 
 
 def filtered_vora_value(camera: SensorSet, observer: SensorSet,
@@ -83,7 +82,7 @@ def filtered_vora_value(camera: SensorSet, observer: SensorSet,
     _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
     w = orthonormal_columns(f[..., :, None] * camera.responses)
-    raw = _vora_of_bases(w, orthonormal_columns(observer.responses))
+    raw = _vora_of_bases(w, observer.basis)
     if isinstance(filt, FilterSpectrum):
         return VoraValue(raw)
     if not np.all((-RANGE_TOL <= raw) & (raw <= 1.0 + RANGE_TOL)):

@@ -31,7 +31,7 @@ from vorafilter import (
     newton_step,
     resample_to_grid,
 )
-from vorafilter.calculus import FD_BLOCK_PAIRS, _hessian_factors
+from vorafilter.calculus import FD_BLOCK_PAIRS, _filtered_basis, _hessian_factors
 from vorafilter.optimize import _RunState
 from vorafilter.projectors import orthonormal_columns
 
@@ -365,7 +365,7 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
                              basis=None if full else basis)
     state = _RunState(camera, observer, config, None)
     state.x, state.f = (f, f) if full else (coeffs, f)
-    state.w = state.kernel.filtered_basis(f)
+    state.w = _filtered_basis(camera, f)
     _, solve = state.trust_subproblem()
     dense = hessian(camera, observer, filt).matrix
     h_basis = hessian_in_basis(camera, observer, basis, coeffs)

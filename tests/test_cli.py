@@ -69,6 +69,19 @@ class TestEvaluate:
         assert code == 2
         assert "bad.csv" in err and "line 2" in err
 
+    def test_rank_deficient_camera_exits_2_naming_path(self, capsys, tmp_path):
+        # The sensor set's rank is read from the R of the QR that builds its
+        # basis: three copies of one channel have rank 1.
+        lam = DEFAULT_GRID.wavelengths
+        lobe = np.exp(-0.5 * ((lam - 550.0) / 30.0) ** 2)
+        path = tmp_path / "flat.csv"
+        path.write_text(format_spectral_csv(lam, np.column_stack([lobe] * 3),
+                                            ("r", "g", "b")), encoding="utf-8")
+        code = main(["evaluate", "--camera", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and "sensor responses" in err
+
     def test_csv_with_byte_order_mark(self, capsys, tmp_path):
         lam = DEFAULT_GRID.wavelengths
         text = format_spectral_csv(lam, np.linspace(0.3, 0.9, lam.size),

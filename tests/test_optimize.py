@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from vorafilter import (
     resample_to_grid,
     vora_value,
 )
-from vorafilter.calculus import _hessian_factors, _Kernel
+from vorafilter.calculus import _filtered_basis, _hessian_factors
 from vorafilter.optimize import (
     _RADIUS_INIT,
     _RADIUS_MAX,
@@ -392,8 +393,8 @@ class TestSpectralModel:
         plain_solve = plain.trust_subproblem()[1]
         g = plain.previous[1]
         state = _RunState(camera, observer, config, filt)
-        kernel = state.kernel
-        d, _ = _hessian_factors(kernel.filtered_basis(state.f), kernel.v, state.f, 0.0)
+        d, _ = _hessian_factors(_filtered_basis(camera, state.f), observer.basis,
+                                state.f, 0.0)
         scale = _preconditioner(d)
         s = np.random.default_rng(4).standard_normal(N)
         state.previous = (state.x - s, g - curvature * scale * s)
@@ -626,14 +627,15 @@ class TestOneBasisPerFilter:
     def test_each_evaluated_filter_is_factored_once(self, monkeypatch, camera, observer):
         # One QR for the start filter and one per trial valued; an accepted
         # trial's basis is the one the next model is built on.
-        factor = _Kernel.filtered_basis
         calls = []
 
-        def counted(kernel, f):
+        def counted(camera, f):
             calls.append(f)
-            return factor(kernel, f)
+            return _filtered_basis(camera, f)
 
-        monkeypatch.setattr(_Kernel, "filtered_basis", counted)
+        # The package's name ``optimize`` is the function, not the module.
+        module = importlib.import_module("vorafilter.optimize")
+        monkeypatch.setattr(module, "_filtered_basis", counted)
         report = optimize(camera, observer, OptimizerConfig())
         backtracks = sum(row.backtracks for row in report.iterations)
         assert report.accepted_steps > 0
@@ -656,6 +658,11 @@ class TestConfigValidation:
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(init="warm")
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimizerConfig(max_iters=2.5)
+        for seed in (1.5, -1):
+            with pytest.raises(ValueError, match="seed"):
+                OptimizerConfig(init="random", seed=seed)
         for bad in (np.nan, np.inf):
             for field in ("alpha", "tol_obj", "tol_grad"):
                 with pytest.raises(ValueError, match=field):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,19 @@ from conftest import make_random_camera
 from oracles import conditioned_sensor_matrix, projector_normal_equations
 from vorafilter import (
     DEFAULT_GRID,
+    FilterSpectrum,
     RankDeficient,
     SensorSet,
     ShapeMismatch,
+    filtered_vora_value,
+    gradient,
+    gradient_in_basis,
+    hessian,
+    hessian_in_basis,
+    make_basis,
+    newton_step,
     numerical_rank,
+    vora_value,
 )
 from vorafilter.projectors import orthonormal_columns
 
@@ -136,3 +147,47 @@ class TestProjector:
         m = np.ones((N, 3))
         with pytest.raises(RankDeficient):
             projector(m)
+
+
+class TestOneBasisPerSensorSet:
+    """A sensor set is factored once, when it is built; each call then
+    factors only the filtered camera."""
+
+    def test_basis_is_the_read_only_qr_of_the_responses(self, observer):
+        assert np.array_equal(observer.basis, orthonormal_columns(observer.responses))
+        assert not observer.basis.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            observer.basis = np.eye(N)[:, :3]
+        with pytest.raises(TypeError):
+            SensorSet(grid=DEFAULT_GRID, responses=observer.responses,
+                      basis=observer.basis)
+
+    def test_each_call_makes_one_qr_and_the_value_none(self, monkeypatch, camera,
+                                                       observer):
+        filt = FilterSpectrum(grid=DEFAULT_GRID,
+                              transmittance=np.linspace(0.3, 1.0, N))
+        basis = make_basis("cosine", 8, DEFAULT_GRID)
+        coeffs = np.linalg.lstsq(basis.basis, filt.transmittance, rcond=None)[0]
+        calls = {
+            "filtered_vora_value": lambda: filtered_vora_value(camera, observer, filt),
+            "gradient": lambda: gradient(camera, observer, filt),
+            "gradient_in_basis": lambda: gradient_in_basis(camera, observer, basis,
+                                                           coeffs),
+            "hessian": lambda: hessian(camera, observer, filt),
+            "hessian_in_basis": lambda: hessian_in_basis(camera, observer, basis,
+                                                         coeffs),
+            "newton_step": lambda: newton_step(camera, observer, filt, 1e-4),
+            "vora_value": lambda: vora_value(camera, observer),
+        }
+        qr, counts = np.linalg.qr, []
+
+        def counted(m):
+            counts[-1] += 1
+            return qr(m)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        for call in calls.values():
+            counts.append(0)
+            call()
+        expected = [1] * (len(calls) - 1) + [0]
+        assert dict(zip(calls, counts)) == dict(zip(calls, expected))
