@@ -5,13 +5,12 @@ spectra (the Vora-Value), provides the analytic gradient and Hessian of
 that similarity with respect to a per-wavelength prefilter, and optimizes
 physically plausible filters by projected gradient ascent or a regularized
 Newton method. All public containers are immutable and every function here
-is pure, so evaluations may run concurrently without coordination.
+is pure, so evaluations may run concurrently without coordination; the
+derivatives are plain ndarrays, freshly allocated by each call.
 """
 
 from .calculus import (
     BasisSet,
-    GradientVector,
-    HessianMatrix,
     fd_gradient,
     fd_hessian,
     gradient,
@@ -57,7 +56,6 @@ from .spectral import (
     resample_to_grid,
     write_filter_csv,
 )
-from .projectors import numerical_rank
 from .vora import VoraValue, filtered_vora_value, regularized_objective, vora_value
 
 __version__ = "0.1.0"
@@ -68,9 +66,7 @@ __all__ = [
     "DEFAULT_GRID",
     "DuplicateWavelength",
     "FilterSpectrum",
-    "GradientVector",
     "GridMismatch",
-    "HessianMatrix",
     "InsufficientCoverage",
     "IterationRecord",
     "MalformedCsv",
@@ -101,7 +97,6 @@ __all__ = [
     "load_sensor_set",
     "make_basis",
     "newton_step",
-    "numerical_rank",
     "optimize",
     "parse_spectral_csv",
     "project_to_box",

@@ -32,7 +32,8 @@ optimizer's trust-region solve O(9 n). The public :func:`hessian` is
 ``diag(d) + U U^T`` formed densely, symmetric by construction; apart from it,
 an n x n matrix is formed only by the dense fallback taken when a Woodbury
 solve's residual is not small. The Hadamard form above is the test suite's
-oracle for these factors.
+oracle for these factors. Every derivative here, analytic or central
+difference, is returned as a plain, freshly allocated ndarray.
 
 Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`, one
 difference rule applied to a value or to a gradient) are provided so every
@@ -54,13 +55,11 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadBasisSpec, SingularSystem, StepTooLarge
-from .projectors import numerical_rank, orthonormal_columns
+from .errors import BadBasisSpec, RankDeficient, SingularSystem, StepTooLarge
+from .projectors import orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
                        _require_same_grid)
 
-# Validation bound for the symmetry of a HessianMatrix.
-HESSIAN_SYMMETRY_TOL = 1e-10
 # A Woodbury Newton solve whose normwise backward error exceeds this, or is
 # not finite, is redone densely. Measured errors are ~1e-15.
 WOODBURY_BACKWARD_TOL = 1e-10
@@ -74,47 +73,6 @@ FD_HESSIAN_STEP = 1e-5
 FD_BLOCK_PAIRS = 128
 
 BASIS_KINDS = ("cosine", "gaussian", "identity")
-
-
-@dataclass(frozen=True, eq=False)
-class GradientVector:
-    """Derivative of the filtered Vora-Value w.r.t. each transmittance."""
-
-    grid: WavelengthGrid
-    values: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.shape != (self.grid.count,):
-            raise ValueError(f"gradient must have length {self.grid.count}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("gradient entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __array__(self, dtype=None, copy=None) -> NDArray[np.float64]:
-        return np.asarray(self.values, dtype=dtype)
-
-
-@dataclass(frozen=True, eq=False)
-class HessianMatrix:
-    """Second derivative matrix; symmetric by construction."""
-
-    matrix: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"hessian must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("hessian entries must be finite")
-        if np.max(np.abs(arr - arr.T)) > HESSIAN_SYMMETRY_TOL:
-            raise ValueError("hessian is not symmetric")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    def __array__(self, dtype=None, copy=None) -> NDArray[np.float64]:
-        return np.asarray(self.matrix, dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +91,12 @@ class BasisSet:
             )
         if not (1 <= arr.shape[1] <= self.grid.count):
             raise BadBasisSpec(f"basis size k={arr.shape[1]} outside [1, n]")
-        if numerical_rank(arr) < arr.shape[1]:
-            raise BadBasisSpec("basis columns are not linearly independent")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("basis must be finite")
+        try:
+            orthonormal_columns(arr)
+        except RankDeficient:
+            raise BadBasisSpec("basis columns are not linearly independent") from None
         arr.setflags(write=False)
         object.__setattr__(self, "basis", arr)
 
@@ -153,8 +115,8 @@ def make_basis(kind: str, k: int, grid: WavelengthGrid) -> BasisSet:
     if kind not in BASIS_KINDS:
         raise BadBasisSpec(f"unknown basis kind {kind!r}; choose from {BASIS_KINDS}")
     n = grid.count
-    if not (1 <= k <= n):
-        raise BadBasisSpec(f"basis size k={k} outside [1, {n}]")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise BadBasisSpec(f"basis size k={k!r} must be an integer in [1, {n}]")
     if kind == "identity":
         cols = np.eye(n)[:, :k]
     elif kind == "cosine":
@@ -249,9 +211,8 @@ def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.fl
 
 
 def gradient(camera: SensorSet, observer: SensorSet,
-             filt: FilterSpectrum | NDArray[np.float64]
-             ) -> GradientVector | NDArray[np.float64]:
-    """Analytic gradient of the filtered Vora-Value at ``filt``.
+             filt: FilterSpectrum | NDArray[np.float64]) -> NDArray[np.float64]:
+    """Analytic gradient of the filtered Vora-Value at ``filt``, an n-vector.
 
     ``filt`` may also be an (m, n) array of transmittances, one filter per
     row, each checked as :class:`FilterSpectrum` checks one (its box aside).
@@ -261,8 +222,6 @@ def gradient(camera: SensorSet, observer: SensorSet,
     _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
     values = _gradient(_filtered_basis(camera, f), observer.basis, f)
-    if isinstance(filt, FilterSpectrum):
-        return GradientVector(grid=filt.grid, values=values)
     if not np.all(np.isfinite(values)):
         raise ValueError("gradient entries must be finite")
     return values
@@ -277,22 +236,25 @@ def gradient_in_basis(camera: SensorSet, observer: SensorSet,
 
 
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
-            alpha: float = 0.0) -> HessianMatrix:
-    """Analytic Hessian of the filtered Vora-Value, plus ``alpha * I``.
+            alpha: float = 0.0) -> NDArray[np.float64]:
+    """Analytic Hessian of the filtered Vora-Value, plus ``alpha * I``: an
+    n x n array.
 
     With ``alpha = 0`` this is the plain second derivative; a positive
     ``alpha`` gives the regularized-objective Hessian used by the Newton
     optimizer. The matrix is ``diag(d) + U U^T`` from the factors that
     :func:`newton_step`, :func:`hessian_in_basis` and the optimizer use, so
-    it is symmetric by construction; it is the only n x n matrix the
-    library returns.
+    it is symmetric by construction. Non-finite entries raise ``ValueError``.
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
     _require_same_grid(camera.grid, observer.grid, filt.grid)
     f = filt.transmittance
-    return HessianMatrix(matrix=_dense_operator(
-        *_hessian_factors(_filtered_basis(camera, f), observer.basis, f, alpha)))
+    matrix = _dense_operator(*_hessian_factors(_filtered_basis(camera, f),
+                                               observer.basis, f, alpha))
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("hessian entries must be finite")
+    return matrix
 
 
 def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,

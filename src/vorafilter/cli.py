@@ -307,8 +307,8 @@ def run_identity_checks(camera: SensorSet, observer: SensorSet, seed: int,
     for _ in range(trials):
         f = rng.uniform(0.2, 1.0, grid.count)
         filt = FilterSpectrum(grid=grid, transmittance=f)
-        g = gradient(camera, observer, filt).values
-        h0 = hessian(camera, observer, filt, alpha=0.0).matrix
+        g = gradient(camera, observer, filt)
+        h0 = hessian(camera, observer, filt, alpha=0.0)
         # Each oracle passes its 2n probes to the public function as one stack.
         g_fd = fd_gradient(lambda p: filtered_vora_value(camera, observer, p), filt)
         h_fd = fd_hessian(lambda p: gradient(camera, observer, p), filt)

@@ -53,8 +53,8 @@ class WavelengthGrid:
             raise ValueError("start_nm must be finite")
         if not 0.0 < self.step_nm < np.inf:
             raise ValueError("step_nm must be positive and finite")
-        if self.count < 4:
-            raise ValueError("count must be at least 4")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 4:
+            raise ValueError(f"count must be an integer of at least 4, got {self.count!r}")
 
     @property
     def end_nm(self) -> float:
@@ -267,6 +267,8 @@ def format_spectral_csv(
         v = v[:, None]
     if v.shape[0] != w.shape[0]:
         raise ValueError("values rows must match wavelengths")
+    if len(channel_names) != v.shape[1]:
+        raise ValueError(f"{len(channel_names)} channel names for {v.shape[1]} value columns")
     lines = ["wavelength," + ",".join(channel_names)]
     for i in range(w.shape[0]):
         cells = [f"{w[i]:.17g}"] + [f"{x:.17g}" for x in v[i]]
@@ -291,6 +293,8 @@ def resample_to_grid(
         v = v[:, None]
     if w.ndim != 1 or v.shape[0] != w.shape[0]:
         raise ValueError("values rows must match wavelengths")
+    if w.size == 0:
+        raise ValueError("no source samples to resample")
     if np.any(np.diff(w) <= 0):
         raise UnsortedWavelength("source wavelengths must be strictly increasing")
     if grid.start_nm < w[0] - _COVERAGE_EPS or grid.end_nm > w[-1] + _COVERAGE_EPS:

@@ -67,7 +67,7 @@ def _grad_fn(camera, observer):
 def test_criterion_01_gradient_matches_finite_differences(observer):
     worst = 0.0
     for camera, obs, filt in _instances(observer):
-        got = gradient(camera, obs, filt).values
+        got = gradient(camera, obs, filt)
         want = fd_gradient(_objective(camera, obs), filt, h=1e-6)
         worst = max(worst, _rel_err(got, want))
     _verdict(1, "gradient vs central differences", worst < 1e-5,
@@ -78,7 +78,7 @@ def test_criterion_02_hessian_matches_fd_of_gradient(observer):
     worst = 0.0
     worst_asym = 0.0
     for camera, obs, filt in _instances(observer):
-        got = hessian(camera, obs, filt, alpha=0.0).matrix
+        got = hessian(camera, obs, filt, alpha=0.0)
         want = fd_hessian(_grad_fn(camera, obs), filt, h=1e-5)
         worst = max(worst, _rel_err(got, want))
         raw = paper_hessian(camera.responses, obs.responses, filt.transmittance)
@@ -92,7 +92,7 @@ def test_criterion_02_hessian_matches_fd_of_gradient(observer):
 def test_criterion_03_gradient_orthogonal_to_filter(observer):
     worst = 0.0
     for camera, obs, filt in _instances(observer):
-        g = gradient(camera, obs, filt).values
+        g = gradient(camera, obs, filt)
         f = filt.transmittance
         scale = np.linalg.norm(f) * np.linalg.norm(g)
         worst = max(worst, abs(float(f @ g)) / scale)
@@ -103,8 +103,8 @@ def test_criterion_03_gradient_orthogonal_to_filter(observer):
 def test_criterion_04_hessian_gradient_identity(observer):
     worst = 0.0
     for camera, obs, filt in _instances(observer):
-        g = gradient(camera, obs, filt).values
-        h = hessian(camera, obs, filt, alpha=0.0).matrix
+        g = gradient(camera, obs, filt)
+        h = hessian(camera, obs, filt, alpha=0.0)
         worst = max(worst, float(np.max(np.abs(g + h @ filt.transmittance))))
     _verdict(4, "gradient plus hessian-times-filter vanishes",
              worst < 1e-8, f"max abs residual {worst:.3e}, tol 1e-08")
@@ -115,7 +115,7 @@ def test_criterion_05_regularized_quadratic_form(observer):
     for camera, obs, filt in _instances(observer):
         f = filt.transmittance
         for alpha in (1e-6, 1e-4, 1e-2):
-            h = hessian(camera, obs, filt, alpha=alpha).matrix
+            h = hessian(camera, obs, filt, alpha=alpha)
             worst = max(worst,
                         abs(float(f @ (h @ f)) - alpha * float(f @ f)))
     _verdict(5, "filter-direction curvature equals alpha * ||f||^2",
@@ -129,7 +129,7 @@ def test_criterion_06_newton_step_closed_form(observer):
     for camera, obs, filt in _instances(observer):
         f = filt.transmittance
         step = newton_step(camera, obs, filt, alpha)
-        h0 = hessian(camera, obs, filt, alpha=0.0).matrix
+        h0 = hessian(camera, obs, filt, alpha=0.0)
         closed = np.linalg.solve(h0 + alpha * np.eye(N),
                                  (h0 - alpha * np.eye(N)) @ f)
         worst = max(worst, float(np.linalg.norm(step - closed) /

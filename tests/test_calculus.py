@@ -11,6 +11,7 @@ from conftest import make_random_camera, make_random_filter, random_instances
 from oracles import paper_hessian
 from vorafilter import (
     BadBasisSpec,
+    BasisSet,
     DEFAULT_GRID,
     FilterSpectrum,
     NonPositiveFilter,
@@ -99,7 +100,7 @@ class TestFiniteDifferenceOracles:
         # central differences on a smooth objective: error drops ~100x
         # when h drops 10x, until round-off takes over
         filt = make_random_filter(0)
-        exact = gradient(camera, observer, filt).values
+        exact = gradient(camera, observer, filt)
         obj = objective_fn(camera, observer)
         err_coarse = np.max(np.abs(fd_gradient(obj, filt, h=1e-3) - exact))
         err_fine = np.max(np.abs(fd_gradient(obj, filt, h=1e-4) - exact))
@@ -111,14 +112,14 @@ class TestGradient:
         worst = 0.0
         for idx, (camera, filt) in enumerate(random_instances(20)):
             observer = make_random_camera(900 + idx)
-            got = gradient(camera, observer, filt).values
+            got = gradient(camera, observer, filt)
             want = fd_gradient(objective_fn(camera, observer), filt, h=1e-6)
             worst = max(worst, rel_err(got, want))
         assert worst < 1e-5
 
     def test_inner_product_with_filter_vanishes(self, observer):
         for camera, filt in random_instances(20):
-            g = gradient(camera, observer, filt).values
+            g = gradient(camera, observer, filt)
             f = filt.transmittance
             bound = 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
             assert abs(float(f @ g)) <= bound
@@ -127,7 +128,7 @@ class TestGradient:
         rng = np.random.default_rng(12)
         t = rng.uniform(-1.0, 1.0, (3, 3)) + 2.0 * np.eye(3)
         cam = SensorSet(grid=DEFAULT_GRID, responses=observer.responses @ t)
-        g = gradient(cam, observer, FilterSpectrum.ones(DEFAULT_GRID)).values
+        g = gradient(cam, observer, FilterSpectrum.ones(DEFAULT_GRID))
         assert np.max(np.abs(g)) < 1e-10
 
     def test_vanishes_whenever_value_is_one(self, observer):
@@ -138,7 +139,7 @@ class TestGradient:
             cam = SensorSet(grid=DEFAULT_GRID, responses=observer.responses @ t)
             value = filtered_vora_value(cam, observer, unit).raw
             assert abs(value - 1.0) < 1e-10
-            g = gradient(cam, observer, unit).values
+            g = gradient(cam, observer, unit)
             assert np.max(np.abs(g)) < 1e-9
 
 
@@ -147,7 +148,7 @@ class TestHessian:
         worst = 0.0
         worst_asym = 0.0
         for camera, filt in random_instances(20):
-            got = hessian(camera, observer, filt, alpha=0.0).matrix
+            got = hessian(camera, observer, filt, alpha=0.0)
             want = fd_hessian(gradient_fn(camera, observer), filt, h=1e-5)
             worst = max(worst, rel_err(got, want))
             raw = paper_hessian(camera.responses, observer.responses, filt.transmittance)
@@ -157,21 +158,21 @@ class TestHessian:
 
     def test_hessian_gradient_identity(self, observer):
         for camera, filt in random_instances(20):
-            g = gradient(camera, observer, filt).values
-            h = hessian(camera, observer, filt, alpha=0.0).matrix
+            g = gradient(camera, observer, filt)
+            h = hessian(camera, observer, filt, alpha=0.0)
             assert np.max(np.abs(g + h @ filt.transmittance)) < 1e-8
 
     def test_regularized_quadratic_form(self, observer):
         for camera, filt in random_instances(10):
             f = filt.transmittance
             for alpha in (1e-6, 1e-4, 1e-2):
-                h = hessian(camera, observer, filt, alpha=alpha).matrix
+                h = hessian(camera, observer, filt, alpha=alpha)
                 assert abs(float(f @ (h @ f)) - alpha * float(f @ f)) < 1e-8
 
     def test_alpha_shifts_diagonal_only(self, camera, observer):
         filt = make_random_filter(21)
-        h0 = hessian(camera, observer, filt, alpha=0.0).matrix
-        h1 = hessian(camera, observer, filt, alpha=1e-3).matrix
+        h0 = hessian(camera, observer, filt, alpha=0.0)
+        h1 = hessian(camera, observer, filt, alpha=1e-3)
         assert np.max(np.abs((h1 - h0) - 1e-3 * np.eye(N))) < 1e-15
 
     def test_rejects_negative_or_non_finite_alpha(self, camera, observer):
@@ -187,7 +188,7 @@ class TestHessian:
 
     def test_result_is_symmetric(self, camera, observer):
         filt = make_random_filter(22)
-        h = hessian(camera, observer, filt).matrix
+        h = hessian(camera, observer, filt)
         assert np.array_equal(h, h.T)
 
 
@@ -195,7 +196,7 @@ class TestBasis:
     def test_identity_basis_matches_full_gradient(self, camera, observer):
         basis = make_basis("identity", N, DEFAULT_GRID)
         filt = make_random_filter(31)
-        full = gradient(camera, observer, filt).values
+        full = gradient(camera, observer, filt)
         via_basis = gradient_in_basis(camera, observer, basis,
                                       filt.transmittance)
         assert np.max(np.abs(full - via_basis)) < 1e-15
@@ -276,6 +277,46 @@ class TestMakeBasis:
             make_basis("cosine", 0, DEFAULT_GRID)
         with pytest.raises(BadBasisSpec):
             make_basis("cosine", N + 1, DEFAULT_GRID)
+        for k in (8.0, 8.5, np.nan, "8"):
+            with pytest.raises(BadBasisSpec, match="k="):
+                make_basis("cosine", k, DEFAULT_GRID)
+        assert make_basis("cosine", np.int64(8), DEFAULT_GRID).size == 8
+
+    def test_non_finite_basis_rejected(self):
+        # Rejected before the rank check, not passed on to numpy as NaN.
+        for bad in (np.nan, np.inf):
+            cols = np.eye(N)[:, :2]
+            cols[3, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BasisSet(DEFAULT_GRID, cols)
+        with pytest.raises(ValueError, match="finite"):
+            BasisSet(DEFAULT_GRID, np.full((N, 2), np.nan))
+
+    def test_dependent_columns_rejected(self):
+        cols = np.eye(N)[:, :3]
+        cols[:, 2] = cols[:, 0] - 2.0 * cols[:, 1]
+        with pytest.raises(BadBasisSpec, match="linearly independent"):
+            BasisSet(DEFAULT_GRID, cols)
+
+
+def test_every_derivative_is_a_plain_ndarray(camera, observer):
+    filt = make_random_filter(12)
+    f = filt.transmittance
+    basis = make_basis("cosine", 6, DEFAULT_GRID)
+    coeffs = np.array([0.8, 0.05, 0.0, 0.0, 0.0, 0.0])
+    results = {
+        "gradient": (gradient(camera, observer, filt), (N,)),
+        "gradient of a stack": (gradient(camera, observer, np.vstack([f, f])), (2, N)),
+        "gradient_in_basis": (gradient_in_basis(camera, observer, basis, coeffs), (6,)),
+        "hessian": (hessian(camera, observer, filt, alpha=1e-4), (N, N)),
+        "hessian_in_basis": (hessian_in_basis(camera, observer, basis, coeffs), (6, 6)),
+        "newton_step": (newton_step(camera, observer, filt, 1e-4), (N,)),
+        "fd_gradient": (fd_gradient(objective_fn(camera, observer), filt), (N,)),
+        "fd_hessian": (fd_hessian(gradient_fn(camera, observer), filt), (N, N)),
+    }
+    for name, (value, shape) in results.items():
+        assert type(value) is np.ndarray, name
+        assert value.shape == shape and value.dtype == np.float64, name
 
 
 class TestFloorHuggingFilters:
@@ -286,8 +327,8 @@ class TestFloorHuggingFilters:
         f = rng.uniform(0.3, 1.0, N)
         f[rng.permutation(N)[:10]] = 1e-4
         filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f)
-        g = gradient(camera, observer, filt).values
-        h = hessian(camera, observer, filt).matrix
+        g = gradient(camera, observer, filt)
+        h = hessian(camera, observer, filt)
         gfd = fd_gradient(objective_fn(camera, observer), filt, h=1e-7)
         assert rel_err(g, gfd) < 1e-5
         assert abs(f @ g) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
@@ -353,7 +394,7 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
     filt = FilterSpectrum(grid=grid, transmittance=f, tau_min=1e-12, tau_max=np.inf)
     cols, alpha = basis.basis, 1e-4
 
-    g = gradient(camera, observer, filt).values
+    g = gradient(camera, observer, filt)
     assert np.array_equal(gradient_in_basis(camera, observer, basis, coeffs), cols.T @ g)
 
     # The optimizer's trust-region step at the same filter, every component
@@ -367,7 +408,7 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
     state.x, state.f = (f, f) if full else (coeffs, f)
     state.w = _filtered_basis(camera, f)
     _, solve = state.trust_subproblem()
-    dense = hessian(camera, observer, filt).matrix
+    dense = hessian(camera, observer, filt)
     h_basis = hessian_in_basis(camera, observer, basis, coeffs)
     x_norm = np.linalg.norm(state.x)
     if full:
@@ -421,7 +462,7 @@ def test_factored_operator_matches_dense_assembly(cie_table, n, floor, alpha):
     w = orthonormal_columns(f[:, None] * camera.responses)
     d, u = _hessian_factors(w, orthonormal_columns(observer.responses), f, alpha)
     assert u.shape == (n, 9)
-    factored = hessian(camera, observer, filt, alpha=alpha).matrix
+    factored = hessian(camera, observer, filt, alpha=alpha)
     assert np.array_equal(factored, np.diag(d) + u @ u.T)
     assert rel_err(factored, dense) <= 1e-12
 
@@ -431,7 +472,7 @@ def test_factored_operator_matches_dense_assembly(cie_table, n, floor, alpha):
     assert rel_err(hessian_in_basis(camera, observer, basis, coeffs, alpha),
                    dense_basis) <= 1e-12
 
-    rhs = -(gradient(camera, observer, filt).values + alpha * f)
+    rhs = -(gradient(camera, observer, filt) + alpha * f)
     step = newton_step(camera, observer, filt, alpha)
     backward = (np.linalg.norm(factored @ step - rhs)
                 / (np.linalg.norm(factored, 2) * np.linalg.norm(step) + np.linalg.norm(rhs)))
@@ -467,7 +508,7 @@ class TestStackedEvaluation:
         for i, row in enumerate(stack):
             filt = FilterSpectrum(grid=grid, transmittance=row)
             assert values[i] == filtered_vora_value(camera, observer, filt).raw
-            assert np.array_equal(grads[i], gradient(camera, observer, filt).values)
+            assert np.array_equal(grads[i], gradient(camera, observer, filt))
 
     def test_oracles_match_one_probe_at_a_time(self, cie_table, n):
         grid, camera, observer, f = fine_grid_instance(cie_table, n, floor=False)
@@ -481,7 +522,7 @@ class TestStackedEvaluation:
         assert np.array_equal(g_fd, one_probe_at_a_time(
             lambda v: filtered_vora_value(camera, observer, probe(v)).raw, f, 1e-6))
         assert np.array_equal(h_fd, one_probe_at_a_time(
-            lambda v: gradient(camera, observer, probe(v)).values, f, 1e-5))
+            lambda v: gradient(camera, observer, probe(v)), f, 1e-5))
 
     def test_oracle_calls_fn_once_per_probe_block(self, cie_table, n):
         _, _, _, f = fine_grid_instance(cie_table, n, floor=False)

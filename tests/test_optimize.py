@@ -71,7 +71,7 @@ class TestNewtonStep:
             filt = make_random_filter(seed)
             f = filt.transmittance
             step = newton_step(camera, observer, filt, alpha)
-            h0 = hessian(camera, observer, filt, alpha=0.0).matrix
+            h0 = hessian(camera, observer, filt, alpha=0.0)
             closed = np.linalg.solve(h0 + alpha * np.eye(N),
                                      (h0 - alpha * np.eye(N)) @ f)
             assert np.linalg.norm(step - closed) / np.linalg.norm(step) < 1e-8
@@ -87,10 +87,10 @@ class TestNewtonStep:
         cam = colorimetric_camera(observer)
         filt = FilterSpectrum.ones(DEFAULT_GRID)
         alpha = 1e-4
-        g = gradient(cam, observer, filt).values
+        g = gradient(cam, observer, filt)
         assert np.max(np.abs(g)) < 1e-10
         step = newton_step(cam, observer, filt, alpha)
-        h0 = hessian(cam, observer, filt, alpha=0.0).matrix
+        h0 = hessian(cam, observer, filt, alpha=0.0)
         expected = np.linalg.solve(h0 + alpha * np.eye(N),
                                    -alpha * filt.transmittance)
         assert np.max(np.abs(step - expected)) < 1e-8
@@ -178,7 +178,7 @@ class TestWoodburyFallback:
         d, u = zero_pivot(w, calculus.orthonormal_columns(observer.responses), f, alpha)
         operator = np.diag(d) + u @ u.T
         assert np.linalg.cond(operator) < 1e12
-        rhs = -(gradient(camera, observer, filt).values + alpha * f)
+        rhs = -(gradient(camera, observer, filt) + alpha * f)
         assert np.array_equal(step, np.linalg.solve(operator, rhs))
 
 
@@ -194,10 +194,10 @@ class TestTrustRegionNewton:
         f = optimum.final_filter.transmittance * (1.0 + 0.01 * rng.standard_normal(N))
         filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f / f.max())
         state = _RunState(camera, observer, OptimizerConfig(method="newton"), filt)
-        g = gradient(camera, observer, filt).values
+        g = gradient(camera, observer, filt)
         step, predicted = state.trust_subproblem()[1](10.0 * np.linalg.norm(state.f))
         free = np.arange(N) != np.argmax(state.f)
-        h = hessian(camera, observer, filt).matrix
+        h = hessian(camera, observer, filt)
         newton = np.zeros(N)
         newton[free] = np.linalg.solve(h[np.ix_(free, free)], -g[free])
         assert np.linalg.norm(newton) < np.linalg.norm(state.f)
@@ -554,7 +554,7 @@ class TestNewtonStepAlgebraAlongRun:
             filt = optimize(camera, observer, cfg).final_filter
             f = filt.transmittance
             step = newton_step(camera, observer, filt, alpha)
-            h0 = hessian(camera, observer, filt, alpha=0.0).matrix
+            h0 = hessian(camera, observer, filt, alpha=0.0)
             closed = np.linalg.solve(h0 + alpha * np.eye(N),
                                      (h0 - alpha * np.eye(N)) @ f)
             assert np.linalg.norm(step - closed) / np.linalg.norm(step) < 1e-8

@@ -22,7 +22,6 @@ from vorafilter import (
     hessian_in_basis,
     make_basis,
     newton_step,
-    numerical_rank,
     vora_value,
 )
 from vorafilter.projectors import orthonormal_columns
@@ -76,7 +75,7 @@ class TestOrthonormalize:
 
 
 class TestStacks:
-    """``(..., n, k)`` stacks: one SVD and one QR, each member as if alone."""
+    """``(..., n, k)`` stacks: one QR, each member as if alone."""
 
     @staticmethod
     def stack(deficient: bool) -> np.ndarray:
@@ -85,13 +84,6 @@ class TestStacks:
         if deficient:
             members[1, 2, :, 2] = members[1, 2, :, 0] - members[1, 2, :, 1]
         return members
-
-    def test_rank_of_each_member(self):
-        members = self.stack(deficient=True)
-        ranks = numerical_rank(members)
-        assert ranks.shape == (2, 3)
-        assert ranks.tolist() == [[numerical_rank(m) for m in row] for row in members]
-        assert ranks[1, 2] == 2 and type(numerical_rank(members[0, 0])) is int
 
     def test_basis_of_each_member(self):
         members = self.stack(deficient=False)

@@ -49,7 +49,7 @@ def test_factored_operator_identities(case):
     factored = np.diag(d) + u @ u.T
     assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    g = gradient(camera, observer, filt).values
+    g = gradient(camera, observer, filt)
     assert abs(float(f @ g)) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
     d0, u0 = _hessian_factors(w, v, f, 0.0)
     assert np.max(np.abs(g + d0 * f + u0 @ (u0.T @ f))) < 1e-8

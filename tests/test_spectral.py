@@ -20,7 +20,6 @@ from vorafilter import (
     format_spectral_csv,
     gaussian_camera,
     load_sensor_set,
-    numerical_rank,
     parse_spectral_csv,
     resample_to_grid,
 )
@@ -51,6 +50,12 @@ class TestWavelengthGrid:
     def test_rejects_tiny_count(self):
         with pytest.raises(ValueError):
             WavelengthGrid(400.0, 10.0, 3)
+
+    def test_rejects_non_integer_count(self):
+        for count in (31.5, 31.0, np.nan, np.inf, "31"):
+            with pytest.raises(ValueError, match="count"):
+                WavelengthGrid(400.0, 10.0, count)
+        assert WavelengthGrid(400.0, 10.0, np.int64(31)) == DEFAULT_GRID
 
 
 class TestParseSpectralCsv:
@@ -121,6 +126,12 @@ class TestParseSpectralCsv:
         assert format_spectral_csv(again.wavelengths, again.values,
                                    ("a", "b", "c")) == text
 
+    def test_format_rejects_a_name_per_column_mismatch(self):
+        # One name for two value columns would write a header that
+        # parse_spectral_csv rejects.
+        with pytest.raises(ValueError, match="channel names"):
+            format_spectral_csv(np.array([400.0, 410.0]), np.ones((2, 2)), ("a",))
+
 
 class TestResample:
     def test_midpoint_of_linear_segment(self):
@@ -148,6 +159,10 @@ class TestResample:
         out = resample_to_grid(table.wavelengths, table.values, DEFAULT_GRID)
         # the 10 nm grid points are every second row of the 5 nm table
         assert np.array_equal(out, table.values[::2])
+
+    def test_empty_source_rejected(self):
+        with pytest.raises(ValueError, match="no source samples"):
+            resample_to_grid(np.array([]), np.array([]), DEFAULT_GRID)
 
     def test_insufficient_coverage(self):
         with pytest.raises(InsufficientCoverage):
@@ -181,7 +196,11 @@ class TestSensorSet:
         s = np.linalg.svd(cam.responses, compute_uv=False)
         tol = s[0] * 31 * np.finfo(np.float64).eps * 1e3
         assert s[2] > tol
-        assert numerical_rank(cam.responses) == 3
+        # The set builds its orthonormal basis of the responses.
+        assert cam.basis.shape == (31, 3)
+        assert np.allclose(cam.basis.T @ cam.basis, np.eye(3), atol=1e-14)
+        assert np.allclose(cam.basis @ (cam.basis.T @ cam.responses), cam.responses,
+                           atol=1e-14)
 
     def test_negative_responses_allowed(self):
         rng = np.random.default_rng(3)

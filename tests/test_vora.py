@@ -221,3 +221,10 @@ def test_derivative_containers_interoperate_with_numpy(camera, observer):
     assert np.asarray(g).shape == (N,)
     solved = np.linalg.solve(np.asarray(h), np.asarray(g))
     assert solved.shape == (N,)
+
+
+def test_every_exported_name_resolves():
+    import vorafilter
+    assert len(set(vorafilter.__all__)) == len(vorafilter.__all__)
+    for name in vorafilter.__all__:
+        assert hasattr(vorafilter, name), name
