@@ -23,17 +23,19 @@ raises ``RankDeficient`` in every consumer, the optimizer included. With
     hessian + alpha I = diag(d) + U U^T,   d_i = alpha - (2/3) |r_i|^2 / f_i^2,
                                            U   = sqrt(2/3) (W (x) Z) / f
 
-where ``(x)`` is the row-wise Kronecker product, so ``U`` is n x 9. Every
-derivative consumer works from these factors: a gradient costs O(n), the
-paper's regularized Newton step (:func:`newton_step`,
-``(H + alpha I) s = -(g + alpha f)``) O(81 n) by Sherman-Morrison-Woodbury
-with a 9 x 9 capacitance matrix, and each product with the operator in the
-optimizer's trust-region solve O(9 n). The public :func:`hessian` is
-``diag(d) + U U^T`` formed densely, symmetric by construction; apart from it,
-an n x n matrix is formed only by the dense fallback taken when a Woodbury
-solve's residual is not small. The Hadamard form above is the test suite's
-oracle for these factors. Every derivative here, analytic or central
-difference, is returned as a plain, freshly allocated ndarray.
+where ``(x)`` is the row-wise Kronecker product, so ``U`` is n x 9. ``R``
+is computed once per filter and shared by whichever of ``g``, ``d`` and
+``U`` a caller needs. Every derivative consumer works from these factors: a
+gradient costs O(n), the paper's regularized Newton step
+(:func:`newton_step`, ``(H + alpha I) s = -(g + alpha f)``) O(81 n) by
+Sherman-Morrison-Woodbury with a 9 x 9 capacitance matrix, and each product
+with the operator in the optimizer's trust-region solve O(9 n). The public
+:func:`hessian` is ``diag(d) + U U^T`` formed densely, symmetric by
+construction; apart from it, an n x n matrix is formed only by the dense
+fallback taken when a Woodbury solve's residual is not small. The Hadamard
+form above is the test suite's oracle for these factors. Every derivative
+here, analytic or central difference, is returned as a plain, freshly
+allocated ndarray.
 
 Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`, one
 difference rule applied to a value or to a gradient) are provided so every
@@ -58,7 +60,7 @@ from numpy.typing import NDArray
 from .errors import BadBasisSpec, RankDeficient, SingularSystem, StepTooLarge
 from .projectors import orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
-                       _require_same_grid)
+                       _is_integer, _require_same_grid)
 
 # A Woodbury Newton solve whose normwise backward error exceeds this, or is
 # not finite, is redone densely. Measured errors are ~1e-15.
@@ -115,7 +117,7 @@ def make_basis(kind: str, k: int, grid: WavelengthGrid) -> BasisSet:
     if kind not in BASIS_KINDS:
         raise BadBasisSpec(f"unknown basis kind {kind!r}; choose from {BASIS_KINDS}")
     n = grid.count
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+    if not _is_integer(k) or not 1 <= k <= n:
         raise BadBasisSpec(f"basis size k={k!r} must be an integer in [1, {n}]")
     if kind == "identity":
         cols = np.eye(n)[:, :k]
@@ -134,16 +136,29 @@ def make_basis(kind: str, k: int, grid: WavelengthGrid) -> BasisSet:
     return BasisSet(grid=grid, basis=cols, kind=kind)
 
 
+def _projected_observer(w: NDArray[np.float64],
+                        v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``R = W (W^T V)``, the observer's basis projected onto the span of
+    ``W``: the one O(n) product every derivative here is built from. Stacks
+    ``(..., n, 3)`` of ``W`` give the stack of projections."""
+    return w @ (w.swapaxes(-1, -2) @ v)
+
+
+def _hessian_diagonal(r: NDArray[np.float64], f: NDArray[np.float64],
+                      alpha: float) -> NDArray[np.float64]:
+    """``d`` of ``H + alpha I = diag(d) + U U^T``, from ``R``."""
+    return alpha - (2.0 / 3.0) * np.einsum("ij,ij->i", r, r) / (f * f)
+
+
 def _hessian_factors(w: NDArray[np.float64], v: NDArray[np.float64],
-                     f: NDArray[np.float64],
+                     r: NDArray[np.float64], f: NDArray[np.float64],
                      alpha: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """``(d, U)`` with ``H + alpha I = diag(d) + U U^T``; ``U`` is n x 9."""
-    r = w @ (w.T @ v)
+    """``(d, U)`` with ``H + alpha I = diag(d) + U U^T``; ``U`` is n x 9 and
+    ``r`` is :func:`_projected_observer` of ``w`` and ``v``."""
     z = v - 2.0 * r
-    d = alpha - (2.0 / 3.0) * np.einsum("ij,ij->i", r, r) / (f * f)
     u = (w[:, :, None] * z[:, None, :]).reshape(f.size, 9)
     u *= (np.sqrt(2.0 / 3.0) / f)[:, None]
-    return d, u
+    return _hessian_diagonal(r, f, alpha), u
 
 
 def _basis_hessian(d: NDArray[np.float64], u: NDArray[np.float64],
@@ -194,11 +209,11 @@ def _filtered_basis(camera: SensorSet, f: NDArray[np.float64]) -> NDArray[np.flo
     return orthonormal_columns(f[..., :, None] * camera.responses)
 
 
-def _gradient(w: NDArray[np.float64], v: NDArray[np.float64],
+def _gradient(r: NDArray[np.float64], v: NDArray[np.float64],
               f: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The gradient from the bases ``W`` of ``diag(f) Q`` and ``V`` of the
-    observer, in O(n); stacks ``(..., n, 3)`` and ``(..., n)`` too."""
-    r = w @ (w.swapaxes(-1, -2) @ v)
+    """The gradient from :func:`_projected_observer` ``R`` of the bases of
+    ``diag(f) Q`` and of the observer, and the observer's basis ``V``, in
+    O(n); stacks ``(..., n, 3)`` and ``(..., n)`` too."""
     return (2.0 / 3.0) * np.einsum("...ij,...ij->...i", r, v - r) / f
 
 
@@ -221,7 +236,8 @@ def gradient(camera: SensorSet, observer: SensorSet,
     """
     _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
-    values = _gradient(_filtered_basis(camera, f), observer.basis, f)
+    v = observer.basis
+    values = _gradient(_projected_observer(_filtered_basis(camera, f), v), v, f)
     if not np.all(np.isfinite(values)):
         raise ValueError("gradient entries must be finite")
     return values
@@ -232,7 +248,9 @@ def gradient_in_basis(camera: SensorSet, observer: SensorSet,
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
     _require_same_grid(camera.grid, observer.grid, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return basis.basis.T @ _gradient(_filtered_basis(camera, f), observer.basis, f)
+    v = observer.basis
+    return basis.basis.T @ _gradient(_projected_observer(_filtered_basis(camera, f), v),
+                                     v, f)
 
 
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -250,8 +268,9 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise ValueError("alpha must be finite and nonnegative")
     _require_same_grid(camera.grid, observer.grid, filt.grid)
     f = filt.transmittance
-    matrix = _dense_operator(*_hessian_factors(_filtered_basis(camera, f),
-                                               observer.basis, f, alpha))
+    w, v = _filtered_basis(camera, f), observer.basis
+    r = _projected_observer(w, v)
+    matrix = _dense_operator(*_hessian_factors(w, v, r, f, alpha))
     if not np.all(np.isfinite(matrix)):
         raise ValueError("hessian entries must be finite")
     return matrix
@@ -265,8 +284,9 @@ def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
         raise ValueError("alpha must be finite and nonnegative")
     _require_same_grid(camera.grid, observer.grid, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return _basis_hessian(*_hessian_factors(_filtered_basis(camera, f), observer.basis,
-                                            f, alpha), basis.basis)
+    w, v = _filtered_basis(camera, f), observer.basis
+    return _basis_hessian(*_hessian_factors(w, v, _projected_observer(w, v), f, alpha),
+                          basis.basis)
 
 
 def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -284,10 +304,11 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise ValueError("alpha must be positive and finite for a Newton step")
     _require_same_grid(camera.grid, observer.grid, filt.grid)
     f = filt.transmittance
-    w = _filtered_basis(camera, f)
-    d, u = _hessian_factors(w, observer.basis, f, alpha)
+    w, v = _filtered_basis(camera, f), observer.basis
+    r = _projected_observer(w, v)
+    d, u = _hessian_factors(w, v, r, f, alpha)
     try:
-        return _woodbury_solve(d, u, -(_gradient(w, observer.basis, f) + alpha * f))
+        return _woodbury_solve(d, u, -(_gradient(r, v, f) + alpha * f))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 

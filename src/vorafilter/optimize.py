@@ -21,8 +21,8 @@ a diagonal, a projected gradient ascent scaled by it. That diagonal is
 space. It is ``diag(d)`` where ``sigma`` is not negative, as at the first
 iteration. A step on the ``sigma D`` model first tries the largest radius.
 From the unit filter with :func:`~vorafilter.gaussian_camera`, ``grad``
-takes 100-177 steps at n = 31 to 601, against Newton's 13 on the paper
-grid.
+takes 106-149 steps at n = 31 to 601 (132 on the paper grid), against
+Newton's 13 there.
 
 For a filter the box itself is the feasible set: every ray through it has a
 point in the box. Components on a bound whose gradient points out of the
@@ -44,15 +44,18 @@ on the wall that cuts a step short; a step is cut back along its ray to the
 first pair it would break (Nocedal & Wright 2006, ch. 16).
 
 The trust region takes over where ``H`` is indefinite, as it is at the unit
-filter. The subproblem is solved by truncated conjugate gradients on the
-factored operator, preconditioned by ``|d|``, so no n x n matrix is formed
-for a filter. The paper's ``alpha`` does not enter the step: the
-regularized ``mu = value + alpha |f|^2 / 2`` is not invariant under the
-scale, so it has no model on the quotient. ``alpha`` stays in the
-reported ``mu`` and in the closed-form
-:func:`~vorafilter.calculus.newton_step`. Every accepted
-step must strictly increase the value, so reported traces are monotone by
-construction.
+filter. Newton's subproblem, and every subproblem in basis mode, is solved
+by truncated conjugate gradients on the factored operator, preconditioned
+by ``|d|``, so no n x n matrix is formed for a filter. For a filter,
+``grad``'s diagonal model needs no iteration: its step is the model's
+maximizer along the scaled gradient within the radius, the scaled Cauchy
+point (Conn, Gould & Toint 2000, ch. 6). That is CG's first iterate, and on
+the ``sigma D`` model its only one. The paper's ``alpha`` does not enter
+the step: the regularized ``mu = value + alpha |f|^2 / 2`` is not
+invariant under the scale, so it has no model on the quotient. ``alpha``
+stays in the reported ``mu`` and in the closed-form
+:func:`~vorafilter.calculus.newton_step`. Every accepted step must strictly
+increase the value, so reported traces are monotone by construction.
 
 Each filter a run evaluates is factored once, by the rank-checked QR, and
 the observer never: its basis is the ``SensorSet``'s. The basis of
@@ -70,12 +73,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .calculus import (BasisSet, _basis_hessian, _filtered_basis, _gradient,
-                       _hessian_factors)
+                       _hessian_diagonal, _hessian_factors, _projected_observer)
 from .errors import NoAscent, NonPositiveFilter
 # Not called here: bench/run.py traces QR calls through this module's name.
 from .projectors import orthonormal_columns  # noqa: F401
 from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
-                       _filter_values, _require_same_grid)
+                       _filter_values, _is_integer, _require_same_grid)
 from .vora import _vora_of_bases
 
 _METHODS = ("grad", "newton")
@@ -131,9 +134,9 @@ class OptimizerConfig:
             raise ValueError("need 0 < tau_min < tau_max <= 1")
         if not 0.0 <= self.alpha < np.inf:
             raise ValueError("alpha must be finite and nonnegative")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if not _is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer of at least 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if not (0.0 <= self.tol_obj < np.inf and 0.0 <= self.tol_grad < np.inf):
             raise ValueError("tol_obj and tol_grad must be finite and nonnegative")
@@ -220,6 +223,27 @@ def _truncated_cg(hess: Callable[[NDArray[np.float64]], NDArray[np.float64]],
         tau = (np.sqrt(sp * sp + pp * (radius * radius - float(s @ s))) - sp) / pp
         return s + tau * p
     return s
+
+
+def _cauchy_step(grad: NDArray[np.float64], diag: NDArray[np.float64],
+                 precond: NDArray[np.float64]) -> Callable[[float], NDArray[np.float64]]:
+    """The scaled Cauchy point of ``max grad.s + s.diag s / 2`` (Conn, Gould
+    & Toint 2000, ch. 6): a map from a radius to the model's maximizer along
+    ``p = grad / precond`` within it, ``min(t*, radius / |p|) p`` with
+    ``t* = grad.p / -(p.diag p)``.
+
+    Where the curvature along ``p`` is not negative, ``t*`` is infinite and
+    the step reaches the radius; a zero ``p`` gives the zero step. This is
+    the first iterate of :func:`_truncated_cg` on the same model, and its
+    last when ``precond`` is ``|diag|``.
+    """
+    p = grad / precond
+    p_norm = float(np.linalg.norm(p))
+    if not p_norm > 0.0:
+        return lambda radius: p
+    curv = float(p @ (diag * p))
+    t_peak = float(grad @ p) / -curv if curv < 0.0 else np.inf
+    return lambda radius: min(t_peak, radius / p_norm) * p
 
 
 def _preconditioner(diag: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -388,15 +412,20 @@ class _RunState:
         the diagonal of :meth:`_spectral_diagonal` for ``grad``; in basis
         mode ``B^T H B``. For a filter the step is projected onto the box,
         for coefficients cut back to the box, and the gain predicted for the
-        step so changed. The factors are computed once here, so each radius
-        costs CG iterations only. Called once per iterate: ``grad`` keeps
-        the iterate and gradient for the next call's model.
+        step so changed. The model is built once here, from one projection
+        of the observer's basis, so each radius costs CG iterations only,
+        and for ``grad`` on a filter the closed-form :func:`_cauchy_step`;
+        ``grad`` builds ``d`` alone, never ``U``. Called once per iterate:
+        ``grad`` keeps the iterate and gradient for the next call's model.
         """
         cfg = self.config
-        g = _gradient(self.w, self.v, self.f)
-        d, u = _hessian_factors(self.w, self.v, self.f, 0.0)
-        if cfg.method == "grad":
-            d, u = self._spectral_diagonal(g, d), u[:, :0]
+        r = _projected_observer(self.w, self.v)
+        g = _gradient(r, self.v, self.f)
+        if cfg.method == "newton":
+            d, u = _hessian_factors(self.w, self.v, r, self.f, 0.0)
+        else:
+            d = self._spectral_diagonal(g, _hessian_diagonal(r, self.f, 0.0))
+            u = np.empty((d.size, 0))
         if self.basis is not None:
             return self._wall_subproblem(_basis_hessian(d, u, self.basis),
                                          self.basis.T @ g)
@@ -414,8 +443,14 @@ class _RunState:
         def hess(p: NDArray[np.float64]) -> NDArray[np.float64]:
             return d * p + u @ (u.T @ p)
 
+        if cfg.method == "newton":
+            def model_step(radius: float) -> NDArray[np.float64]:
+                return _truncated_cg(hess, grad, precond, radius)
+        else:
+            model_step = _cauchy_step(grad, d, precond)
+
         def solve(radius: float) -> tuple[NDArray[np.float64], float]:
-            s = np.clip(_truncated_cg(hess, grad, precond, radius), lo, hi)
+            s = np.clip(model_step(radius), lo, hi)
             step = np.zeros_like(self.x)
             step[free] = s
             return step, float(grad @ s + 0.5 * (s @ hess(s)))

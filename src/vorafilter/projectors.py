@@ -40,11 +40,11 @@ def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     # (noisy) sensor data from being declared full rank on the strength of
     # pure round-off.
     s = np.linalg.svd(r, compute_uv=False)
-    tol = s[..., :1] * max(m.shape[-2:]) * np.finfo(np.float64).eps * 1e3
-    deficient = (s > tol).sum(axis=-1) < m.shape[-1]
-    # One matrix gives a NumPy scalar bool, tested directly: .any() would add
-    # a call on every evaluation of the value path.
-    if deficient if m.ndim == 2 else deficient.any():
+    # The singular values come sorted, so each member is tested on its
+    # smallest alone (NaN fails); one matrix gives a NumPy scalar bool.
+    tol = s[..., 0] * max(m.shape[-2:]) * np.finfo(np.float64).eps * 1e3
+    full = s[..., -1] > tol
+    if not (full if m.ndim == 2 else full.all()):
         raise RankDeficient(
             f"matrix of shape {m.shape} has numerical rank < {m.shape[-1]}"
         )

@@ -40,6 +40,12 @@ def _readonly(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     return arr
 
 
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a ``bool`` is an
+    ``int`` to ``isinstance``, but never a count, a size or a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WavelengthGrid:
     """Uniform sampling lattice: ``count`` samples from ``start_nm`` in steps of ``step_nm``."""
@@ -53,7 +59,7 @@ class WavelengthGrid:
             raise ValueError("start_nm must be finite")
         if not 0.0 < self.step_nm < np.inf:
             raise ValueError("step_nm must be positive and finite")
-        if not isinstance(self.count, (int, np.integer)) or self.count < 4:
+        if not _is_integer(self.count) or self.count < 4:
             raise ValueError(f"count must be an integer of at least 4, got {self.count!r}")
 
     @property
@@ -269,6 +275,10 @@ def format_spectral_csv(
         raise ValueError("values rows must match wavelengths")
     if len(channel_names) != v.shape[1]:
         raise ValueError(f"{len(channel_names)} channel names for {v.shape[1]} value columns")
+    for name in channel_names:
+        # The parser splits the header at commas and lines at line breaks.
+        if "," in name or "".join(name.splitlines()) != name:
+            raise ValueError(f"channel name {name!r} holds a comma or a line break")
     lines = ["wavelength," + ",".join(channel_names)]
     for i in range(w.shape[0]):
         cells = [f"{w[i]:.17g}"] + [f"{x:.17g}" for x in v[i]]
@@ -295,6 +305,8 @@ def resample_to_grid(
         raise ValueError("values rows must match wavelengths")
     if w.size == 0:
         raise ValueError("no source samples to resample")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        raise ValueError("source wavelengths and values must be finite")
     if np.any(np.diff(w) <= 0):
         raise UnsortedWavelength("source wavelengths must be strictly increasing")
     if grid.start_nm < w[0] - _COVERAGE_EPS or grid.end_nm > w[-1] + _COVERAGE_EPS:

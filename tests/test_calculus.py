@@ -32,7 +32,8 @@ from vorafilter import (
     newton_step,
     resample_to_grid,
 )
-from vorafilter.calculus import FD_BLOCK_PAIRS, _filtered_basis, _hessian_factors
+from vorafilter.calculus import (FD_BLOCK_PAIRS, _filtered_basis, _hessian_factors,
+                                 _projected_observer)
 from vorafilter.optimize import _RunState
 from vorafilter.projectors import orthonormal_columns
 
@@ -282,6 +283,11 @@ class TestMakeBasis:
                 make_basis("cosine", k, DEFAULT_GRID)
         assert make_basis("cosine", np.int64(8), DEFAULT_GRID).size == 8
 
+    def test_bool_size_rejected(self):
+        # isinstance(True, int) holds, but True is not a basis size of 1.
+        with pytest.raises(BadBasisSpec, match="k="):
+            make_basis("cosine", True, DEFAULT_GRID)
+
     def test_non_finite_basis_rejected(self):
         # Rejected before the rank check, not passed on to numpy as NaN.
         for bad in (np.nan, np.inf):
@@ -460,7 +466,8 @@ def test_factored_operator_matches_dense_assembly(cie_table, n, floor, alpha):
 
     dense = dense_operator(f)
     w = orthonormal_columns(f[:, None] * camera.responses)
-    d, u = _hessian_factors(w, orthonormal_columns(observer.responses), f, alpha)
+    v = orthonormal_columns(observer.responses)
+    d, u = _hessian_factors(w, v, _projected_observer(w, v), f, alpha)
     assert u.shape == (n, 9)
     factored = hessian(camera, observer, filt, alpha=alpha)
     assert np.array_equal(factored, np.diag(d) + u @ u.T)

@@ -30,11 +30,12 @@ from vorafilter import (
     resample_to_grid,
     vora_value,
 )
-from vorafilter.calculus import _filtered_basis, _hessian_factors
+from vorafilter.calculus import _filtered_basis, _hessian_diagonal, _projected_observer
 from vorafilter.optimize import (
     _RADIUS_INIT,
     _RADIUS_MAX,
     IterationRecord,
+    _cauchy_step,
     _cut_back,
     _nnls,
     _preconditioner,
@@ -116,7 +117,7 @@ class TestSingularNewtonSystem:
         optimize_module = importlib.import_module("vorafilter.optimize")
         calls = []
 
-        def zero_factors(w, v, f, alpha):
+        def zero_factors(w, v, r, f, alpha):
             calls.append(f.size)
             return np.zeros(f.size), np.zeros((f.size, 9))
 
@@ -164,8 +165,8 @@ class TestWoodburyFallback:
         real_factors = calculus._hessian_factors
         alpha = 1e-4
 
-        def zero_pivot(w, v, f, alpha):
-            d, u = real_factors(w, v, f, alpha)
+        def zero_pivot(w, v, r, f, alpha):
+            d, u = real_factors(w, v, r, f, alpha)
             d[5] = 0.0  # D^-1 is not finite, diag(d) + U U^T stays nonsingular
             return d, u
 
@@ -175,7 +176,8 @@ class TestWoodburyFallback:
         step = newton_step(camera, observer, filt, alpha)
 
         w = calculus.orthonormal_columns(f[:, None] * camera.responses)
-        d, u = zero_pivot(w, calculus.orthonormal_columns(observer.responses), f, alpha)
+        v = calculus.orthonormal_columns(observer.responses)
+        d, u = zero_pivot(w, v, calculus._projected_observer(w, v), f, alpha)
         operator = np.diag(d) + u @ u.T
         assert np.linalg.cond(operator) < 1e12
         rhs = -(gradient(camera, observer, filt) + alpha * f)
@@ -364,14 +366,16 @@ class TestSpectralModel:
 
     @pytest.mark.parametrize("basis, first", [
         (None, IterationRecord(1, 0.9777918717600133, 0.9792343739478707,
-                               0.5567764362830022, 0.01459787691427553, 0)),
+                               0.5567764362830021, 0.01459787691427553, 0)),
         ("cosine", IterationRecord(1, 0.9771438320285304, 0.9783733145950738,
                                    0.1, 0.07980780055919826, 0)),
     ])
     def test_first_step_is_on_the_diagonal(self, camera, observer, basis, first):
         # No last step yet: the first iteration models with diag(d) at the
         # first radius, as the method did before it had a curvature scalar.
-        # The records are pinned from that version.
+        # The records are pinned from that version, but for the filter's
+        # step_len: the closed-form step to the radius rounds 1 ulp apart
+        # from CG's boundary step.
         config = OptimizerConfig(
             method="grad", max_iters=1,
             basis=None if basis is None else make_basis(basis, 8, DEFAULT_GRID))
@@ -384,34 +388,78 @@ class TestSpectralModel:
     def test_curvature_scalar(self, camera, observer, curvature):
         # Plant a last step s with gradient change y = curvature * D s, so
         # that sigma = curvature. Unless it is negative the model stays
-        # diag(d); a negative sigma gives the model sigma D and the largest
-        # radius, whose interior step is g / (|sigma| D) on the free
-        # coordinates.
+        # diag(d) at the first radius; a negative sigma gives the model
+        # sigma D and the largest radius. Either way the step on a filter is
+        # the model's maximizer along p = g / precond within the radius,
+        # min(t*, radius / |p|) p with t* = g.p / -(p.h p), clipped to the box.
         config = OptimizerConfig(method="grad")
         filt = make_random_filter(11)
         plain = _RunState(camera, observer, config, filt)
         plain_solve = plain.trust_subproblem()[1]
         g = plain.previous[1]
         state = _RunState(camera, observer, config, filt)
-        d, _ = _hessian_factors(_filtered_basis(camera, state.f), observer.basis,
-                                state.f, 0.0)
+        w = _filtered_basis(camera, state.f)
+        d = _hessian_diagonal(_projected_observer(w, observer.basis), state.f, 0.0)
         scale = _preconditioner(d)
         s = np.random.default_rng(4).standard_normal(N)
         state.previous = (state.x - s, g - curvature * scale * s)
         solve = state.trust_subproblem()[1]
-        radius = 0.1 * np.linalg.norm(state.f)
-        if curvature >= 0.0:
-            assert state.radius == _RADIUS_INIT
-            for a, b in zip(solve(radius), plain_solve(radius)):
-                assert np.array_equal(a, b)
-            return
-        assert state.radius == _RADIUS_MAX
-        step, _ = solve(10.0 * np.linalg.norm(state.f))
+        assert state.radius == (_RADIUS_MAX if curvature < 0.0 else _RADIUS_INIT)
+
         free = np.arange(N) != np.argmax(state.f)
-        expected = np.clip(g / (-curvature * scale), config.tau_min - state.f,
-                           config.tau_max - state.f)
-        assert step[~free] == 0.0
-        assert np.allclose(step[free], expected[free], rtol=1e-12, atol=0.0)
+        h = (curvature * scale if curvature < 0.0 else d)[free]
+        precond = _preconditioner(h)
+        p = g[free] / precond
+        t_peak = (g[free] @ p) / -(p @ (h * p))
+        f_norm = np.linalg.norm(state.f)
+        radii = (1e-3 * f_norm, 0.1 * f_norm, 10.0 * f_norm)
+        assert radii[0] / np.linalg.norm(p) < t_peak < radii[-1] / np.linalg.norm(p)
+        for radius in radii:
+            step, predicted = solve(radius)
+            if curvature >= 0.0:
+                for a, b in zip((step, predicted), plain_solve(radius)):
+                    assert np.array_equal(a, b)
+            expected = np.clip(min(t_peak, radius / np.linalg.norm(p)) * p,
+                               config.tau_min - state.f[free],
+                               config.tau_max - state.f[free])
+            assert step[~free] == 0.0
+            assert np.array_equal(step[free], expected)
+            assert predicted == pytest.approx(
+                g[free] @ expected + 0.5 * (expected @ (h * expected)), rel=1e-12)
+            if curvature < 0.0 or radius == radii[0]:
+                # On sigma D, preconditioned by |sigma D|, CG stops after one
+                # iteration at the same step. On diag(d), where the smallest
+                # radius binds before t*, CG's first iterate stops on the
+                # boundary there, at the same step.
+                cg = _truncated_cg(h.__mul__, g[free], precond, radius)
+                assert np.allclose(step[free], np.clip(cg, config.tau_min - state.f[free],
+                                                       config.tau_max - state.f[free]),
+                                   rtol=0.0, atol=1e-12 * np.max(np.abs(cg)))
+
+    def test_cauchy_step_without_negative_curvature(self):
+        grad = np.array([3.0, 4.0])
+        ones = np.ones(2)
+        # No curvature along p: t* is infinite and the step reaches the radius.
+        step = _cauchy_step(grad, np.zeros(2), ones)(2.0)
+        assert np.allclose(step, [1.2, 1.6], rtol=1e-15)
+        # A zero gradient gives the zero step, without dividing by |p| = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not _cauchy_step(np.zeros(2), -ones, ones)(1.0).any()
+
+    @pytest.mark.parametrize("basis", [None, "cosine"])
+    def test_grad_never_builds_the_low_rank_factor(self, monkeypatch, camera, observer,
+                                                   basis):
+        def forbidden(*args):
+            raise AssertionError("grad built U")
+
+        # The package's name ``optimize`` is the function, not the module.
+        module = importlib.import_module("vorafilter.optimize")
+        monkeypatch.setattr(module, "_hessian_factors", forbidden)
+        config = OptimizerConfig(
+            method="grad", max_iters=20,
+            basis=None if basis is None else make_basis(basis, 8, DEFAULT_GRID))
+        assert optimize(camera, observer, config).accepted_steps == 20
 
     @pytest.mark.parametrize("basis, config, digest", [
         (None, {},
@@ -478,11 +526,11 @@ class TestOptimizeEfficacy:
     @pytest.mark.parametrize("n", [31, 61, 301, 601])
     @pytest.mark.parametrize("tau_min", [1e-4, 0.3])
     def test_gradient_method_converges_to_newtons_optimum(self, cie_table, n, tau_min):
-        # With the Barzilai-Borwein curvature the diagonal model reaches
-        # Newton's optimum from the unit filter in 100-177 steps at
-        # tau_min = 1e-4 and 66-79 at tau_min = 0.3, and from the seed-0
-        # random start in 58-199, ending within 7.2e-11 of Newton's value.
-        # Newton takes 9-16 steps.
+        # With the Barzilai-Borwein curvature and the scaled Cauchy step the
+        # diagonal model reaches Newton's optimum from the unit filter in
+        # 106-149 steps at tau_min = 1e-4 and 66-79 at tau_min = 0.3, and
+        # from the seed-0 random start in 58-161, ending within 7.2e-11 of
+        # Newton's value. Newton takes 9-16 steps.
         grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
         observer = SensorSet(grid=grid, responses=resample_to_grid(
             cie_table.wavelengths, cie_table.values, grid))
@@ -669,6 +717,12 @@ class TestConfigValidation:
                     OptimizerConfig(**{field: bad})
             with pytest.raises(ValueError):
                 OptimizerConfig(method="newton", alpha=bad)
+
+    @pytest.mark.parametrize("field", ["max_iters", "seed"])
+    def test_rejects_bool(self, field):
+        # isinstance(True, int) holds: max_iters=True would run one iteration.
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: True})
 
 
 class TestBasisRandomInit:

@@ -16,7 +16,7 @@ from conftest import make_random_camera
 from oracles import paper_hessian
 from vorafilter import (FilterSpectrum, WavelengthGrid, format_spectral_csv, gradient,
                         parse_spectral_csv)
-from vorafilter.calculus import _hessian_factors
+from vorafilter.calculus import _hessian_factors, _projected_observer
 from vorafilter.projectors import orthonormal_columns
 
 TAU_MIN = 1e-4
@@ -43,7 +43,8 @@ def test_factored_operator_identities(case):
 
     w = orthonormal_columns(f[:, None] * camera.responses)
     v = orthonormal_columns(observer.responses)
-    d, u = _hessian_factors(w, v, f, case["alpha"])
+    r = _projected_observer(w, v)
+    d, u = _hessian_factors(w, v, r, f, case["alpha"])
     dense = (paper_hessian(camera.responses, observer.responses, f)
              + case["alpha"] * np.eye(n))
     factored = np.diag(d) + u @ u.T
@@ -51,7 +52,7 @@ def test_factored_operator_identities(case):
 
     g = gradient(camera, observer, filt)
     assert abs(float(f @ g)) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
-    d0, u0 = _hessian_factors(w, v, f, 0.0)
+    d0, u0 = _hessian_factors(w, v, r, f, 0.0)
     assert np.max(np.abs(g + d0 * f + u0 @ (u0.T @ f))) < 1e-8
 
 

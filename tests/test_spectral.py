@@ -57,6 +57,12 @@ class TestWavelengthGrid:
                 WavelengthGrid(400.0, 10.0, count)
         assert WavelengthGrid(400.0, 10.0, np.int64(31)) == DEFAULT_GRID
 
+    def test_rejects_bool_count(self):
+        # isinstance(True, int) holds, but a bool is not a sample count.
+        for count in (True, False):
+            with pytest.raises(ValueError, match="count"):
+                WavelengthGrid(400.0, 10.0, count)
+
 
 class TestParseSpectralCsv:
     def test_direct_parse(self):
@@ -132,6 +138,18 @@ class TestParseSpectralCsv:
         with pytest.raises(ValueError, match="channel names"):
             format_spectral_csv(np.array([400.0, 410.0]), np.ones((2, 2)), ("a",))
 
+    def test_format_round_trips_names_or_rejects_them(self):
+        # A comma or a line break in a name would split the header into
+        # more columns or lines than the parser accepts.
+        wavelengths, values = np.array([400.0, 410.0]), np.array([[0.5, 1.0], [0.25, 2.0]])
+        for bad in ("a,b", "a\nb", "a\r\nb", "a\u2028b", "a\n"):
+            with pytest.raises(ValueError, match="channel name"):
+                format_spectral_csv(wavelengths, values, (bad, "c"))
+        names = ("R (nm^-1)", "g;2")
+        table = parse_spectral_csv(format_spectral_csv(wavelengths, values, names), 2)
+        assert table.channel_names == names
+        assert np.array_equal(table.values, values)
+
 
 class TestResample:
     def test_midpoint_of_linear_segment(self):
@@ -163,6 +181,14 @@ class TestResample:
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError, match="no source samples"):
             resample_to_grid(np.array([]), np.array([]), DEFAULT_GRID)
+
+    def test_non_finite_source_rejected(self):
+        # Interpolation would spread one NaN over every grid row.
+        with pytest.raises(ValueError, match="finite"):
+            resample_to_grid(np.array([390.0, 800.0]), np.array([[1.0], [np.nan]]),
+                             DEFAULT_GRID)
+        with pytest.raises(ValueError, match="finite"):
+            resample_to_grid(np.array([390.0, np.inf]), np.ones(2), DEFAULT_GRID)
 
     def test_insufficient_coverage(self):
         with pytest.raises(InsufficientCoverage):
