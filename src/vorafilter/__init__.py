@@ -40,7 +40,6 @@ from .optimize import (
     OptimizationReport,
     OptimizerConfig,
     optimize,
-    project_to_box,
 )
 from .spectral import (
     DEFAULT_GRID,
@@ -99,7 +98,6 @@ __all__ = [
     "newton_step",
     "optimize",
     "parse_spectral_csv",
-    "project_to_box",
     "regularized_objective",
     "resample_to_grid",
     "vora_value",

@@ -60,7 +60,7 @@ from numpy.typing import NDArray
 from .errors import BadBasisSpec, RankDeficient, SingularSystem, StepTooLarge
 from .projectors import orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
-                       _is_integer, _require_same_grid)
+                       _is_integer, _require_same_grid, _single_filter_values)
 
 # A Woodbury Newton solve whose normwise backward error exceeds this, or is
 # not finite, is redone densely. Measured errors are ~1e-15.
@@ -266,8 +266,8 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    _require_same_grid(camera.grid, observer.grid, filt.grid)
-    f = filt.transmittance
+    _require_same_grid(camera.grid, observer.grid)
+    f = _single_filter_values(filt, camera.grid)
     w, v = _filtered_basis(camera, f), observer.basis
     r = _projected_observer(w, v)
     matrix = _dense_operator(*_hessian_factors(w, v, r, f, alpha))
@@ -302,8 +302,8 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     """
     if not 0.0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite for a Newton step")
-    _require_same_grid(camera.grid, observer.grid, filt.grid)
-    f = filt.transmittance
+    _require_same_grid(camera.grid, observer.grid)
+    f = _single_filter_values(filt, camera.grid)
     w, v = _filtered_basis(camera, f), observer.basis
     r = _projected_observer(w, v)
     d, u = _hessian_factors(w, v, r, f, alpha)

@@ -32,6 +32,7 @@ from .spectral import (
     FilterSpectrum,
     SensorSet,
     WavelengthGrid,
+    load_filter_spectrum,
     parse_spectral_csv,
     resample_to_grid,
     write_filter_csv,
@@ -76,14 +77,13 @@ def _read_default_text(filename: str) -> str:
 
 def _load_sensors(path: str | None, default_file: str,
                   grid: WavelengthGrid) -> SensorSet:
-    if path is not None:
-        label = path
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        label = f"<default {default_file}>"
-        text = _read_default_text(default_file)
+    label = path if path is not None else f"<default {default_file}>"
     try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = _read_default_text(default_file)
         table = parse_spectral_csv(text, expected_channels=3)
         responses = resample_to_grid(table.wavelengths, table.values, grid)
         names = table.channel_names
@@ -95,13 +95,8 @@ def _load_sensors(path: str | None, default_file: str,
 
 def _load_filter(path: str, grid: WavelengthGrid, tau_min: float,
                  tau_max: float) -> FilterSpectrum:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        table = parse_spectral_csv(text, expected_channels=1)
-        values = resample_to_grid(table.wavelengths, table.values, grid)[:, 0]
-        return FilterSpectrum(grid=grid, transmittance=values,
-                              tau_min=tau_min, tau_max=tau_max)
+        return load_filter_spectrum(path, grid, tau_min, tau_max)
     except (VoraFilterError, ValueError) as exc:
         raise VoraFilterError(f"{path}: {exc}") from exc
 

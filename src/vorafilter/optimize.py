@@ -78,7 +78,7 @@ from .errors import NoAscent, NonPositiveFilter
 # Not called here: bench/run.py traces QR calls through this module's name.
 from .projectors import orthonormal_columns  # noqa: F401
 from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
-                       _filter_values, _is_integer, _require_same_grid)
+                       _is_integer, _require_same_grid, _single_filter_values)
 from .vora import _vora_of_bases
 
 _METHODS = ("grad", "newton")
@@ -170,16 +170,6 @@ class OptimizationReport:
     @property
     def accepted_steps(self) -> int:
         return self.iterations[-1].iteration if self.iterations else 0
-
-    @property
-    def normalized_filter(self) -> NDArray[np.float64]:
-        return self.final_filter.normalized
-
-
-def project_to_box(values: NDArray[np.float64], tau_min: float,
-                   tau_max: float) -> NDArray[np.float64]:
-    """Componentwise clamp into [tau_min, tau_max]."""
-    return np.clip(np.asarray(values, dtype=np.float64), tau_min, tau_max)
 
 
 def _truncated_cg(hess: Callable[[NDArray[np.float64]], NDArray[np.float64]],
@@ -322,7 +312,7 @@ class _RunState:
         self.grid = camera.grid
         self.basis = config.basis.basis if config.basis is not None else None
         if initial_filter is not None:
-            f0 = _filter_values(initial_filter, self.grid).copy()
+            f0 = _single_filter_values(initial_filter, self.grid)
         elif config.init == "ones":
             f0 = np.ones(self.grid.count)
         else:
@@ -359,8 +349,8 @@ class _RunState:
         peak = values.max()
         if not peak > 0.0:
             return None
-        f = project_to_box(values * (self.config.tau_max / peak),
-                           self.config.tau_min, self.config.tau_max)
+        f = np.clip(values * (self.config.tau_max / peak),
+                    self.config.tau_min, self.config.tau_max)
         return f, f
 
     def _gauge_coeffs(self, coeffs: NDArray[np.float64]) -> _Gauged | None:

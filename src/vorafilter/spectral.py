@@ -153,11 +153,6 @@ class FilterSpectrum:
         """The neutral filter (transmits everything)."""
         return cls(grid, np.ones(grid.count), tau_min=tau_min, tau_max=tau_max)
 
-    @property
-    def normalized(self) -> NDArray[np.float64]:
-        """Transmittance rescaled so its maximum is 1 (the scale gauge)."""
-        return self.transmittance / float(self.transmittance.max())
-
 
 def _require_same_grid(*grids: WavelengthGrid) -> None:
     first = grids[0]
@@ -168,7 +163,9 @@ def _require_same_grid(*grids: WavelengthGrid) -> None:
 
 def _filter_values(filt: FilterSpectrum | NDArray[np.float64],
                    grid: WavelengthGrid | None = None) -> NDArray[np.float64]:
-    """The transmittance values of a filter argument, checked once.
+    """The transmittance values of a filter argument, checked once; every
+    public call that takes a filter reads it here or through
+    :func:`_single_filter_values`.
 
     A :class:`FilterSpectrum` gives its transmittance, which must be on
     ``grid`` when one is given. An array must be finite and strictly
@@ -184,6 +181,15 @@ def _filter_values(filt: FilterSpectrum | NDArray[np.float64],
         raise ValueError(f"a filter stack must be m x {grid.count}, got {arr.shape}")
     _check_transmittance(arr)
     return arr
+
+
+def _single_filter_values(filt: FilterSpectrum, grid: WavelengthGrid) -> NDArray[np.float64]:
+    """:func:`_filter_values` of the one :class:`FilterSpectrum` a call
+    takes; an array is a stack of filters, and raises ``TypeError``."""
+    if not isinstance(filt, FilterSpectrum):
+        raise TypeError(f"expected a FilterSpectrum, got {type(filt).__name__}; "
+                        "only filtered_vora_value and gradient take an array stack")
+    return _filter_values(filt, grid)
 
 
 class SpectralTable(NamedTuple):
@@ -276,9 +282,11 @@ def format_spectral_csv(
     if len(channel_names) != v.shape[1]:
         raise ValueError(f"{len(channel_names)} channel names for {v.shape[1]} value columns")
     for name in channel_names:
-        # The parser splits the header at commas and lines at line breaks.
-        if "," in name or "".join(name.splitlines()) != name:
-            raise ValueError(f"channel name {name!r} holds a comma or a line break")
+        # The parser splits the header at commas and lines at line breaks,
+        # and strips each field.
+        if "," in name or "".join(name.splitlines()).strip() != name:
+            raise ValueError(f"channel name {name!r} holds a comma, a line break "
+                             "or surrounding whitespace")
     lines = ["wavelength," + ",".join(channel_names)]
     for i in range(w.shape[0]):
         cells = [f"{w[i]:.17g}"] + [f"{x:.17g}" for x in v[i]]

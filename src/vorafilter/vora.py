@@ -12,6 +12,12 @@ Evaluation goes through orthonormal bases W and V of the two spaces:
 which is algebraically identical to the normal-equations formula
 ``trace(Q (Q^T Q)^-1 Q^T X (X^T X)^-1 X^T) / 3`` but numerically stable for
 ill-conditioned sensor matrices.
+
+A filter argument is checked where it enters, by the one intake in
+:mod:`vorafilter.spectral`: :func:`filtered_vora_value` takes a
+``FilterSpectrum`` or an (m, n) stack of filters, and
+:func:`regularized_objective` one ``FilterSpectrum`` (an array raises
+``TypeError``).
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .projectors import orthonormal_columns
-from .spectral import FilterSpectrum, SensorSet, _filter_values, _require_same_grid
+from .spectral import (FilterSpectrum, SensorSet, _filter_values, _require_same_grid,
+                       _single_filter_values)
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
 # not round-off.
@@ -96,10 +103,9 @@ def regularized_objective(camera: SensorSet, observer: SensorSet,
 
     This is the primitive whose gradient is the filtered-value gradient plus
     ``alpha * f`` and whose Hessian gains ``alpha * I``; the penalty is what
-    makes Newton steps informative (see the optimizer module).
+    makes Newton steps informative (see :func:`~vorafilter.calculus.newton_step`).
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    nu = filtered_vora_value(camera, observer, filt).raw
-    f = filt.transmittance
-    return nu + 0.5 * alpha * float(f @ f)
+    f = _single_filter_values(filt, camera.grid)
+    return filtered_vora_value(camera, observer, filt).raw + 0.5 * alpha * float(f @ f)

@@ -14,6 +14,7 @@ from vorafilter import (
     BasisSet,
     DEFAULT_GRID,
     FilterSpectrum,
+    GridMismatch,
     NonPositiveFilter,
     OptimizerConfig,
     RankDeficient,
@@ -30,6 +31,8 @@ from vorafilter import (
     gaussian_camera,
     make_basis,
     newton_step,
+    optimize,
+    regularized_objective,
     resample_to_grid,
 )
 from vorafilter.calculus import (FD_BLOCK_PAIRS, _filtered_basis, _hessian_factors,
@@ -554,3 +557,49 @@ class TestStackedEvaluation:
                 assert np.array_equal(probes[m + j], fm)
             start += m
         assert start == n
+
+
+# Every public call that takes a filter ``f``, as a function of it.
+FILTER_CALLS = {
+    "filtered_vora_value": lambda cam, obs, f: filtered_vora_value(cam, obs, f),
+    "gradient": lambda cam, obs, f: gradient(cam, obs, f),
+    "hessian": lambda cam, obs, f: hessian(cam, obs, f),
+    "newton_step": lambda cam, obs, f: newton_step(cam, obs, f, 1e-4),
+    "regularized_objective": lambda cam, obs, f: regularized_objective(cam, obs, f, 1e-4),
+    "optimize": lambda cam, obs, f: optimize(cam, obs, OptimizerConfig(max_iters=1),
+                                             initial_filter=f),
+}
+# The calls that also take an (m, n) stack of filters.
+STACK_CALLS = ("filtered_vora_value", "gradient")
+
+
+class TestFilterIntake:
+    """How every call that takes a filter checks it where it enters."""
+
+    @pytest.mark.parametrize("name", FILTER_CALLS)
+    def test_filter_on_another_grid_raises_grid_mismatch(self, camera, observer, name):
+        other = FilterSpectrum.ones(WavelengthGrid(400.0, 10.0, N - 1))
+        with pytest.raises(GridMismatch):
+            FILTER_CALLS[name](camera, observer, other)
+
+    @pytest.mark.parametrize("shape", [(N,), (1, N)])
+    @pytest.mark.parametrize("name", [n for n in FILTER_CALLS if n not in STACK_CALLS])
+    def test_array_to_a_single_filter_call_raises_type_error(self, camera, observer,
+                                                             name, shape):
+        with pytest.raises(TypeError, match="FilterSpectrum"):
+            FILTER_CALLS[name](camera, observer, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("name", STACK_CALLS)
+    def test_one_dimensional_array_to_a_stack_call_raises_value_error(self, camera,
+                                                                      observer, name):
+        with pytest.raises(ValueError, match="filter stack"):
+            FILTER_CALLS[name](camera, observer, np.full(N, 0.5))
+
+    @pytest.mark.parametrize("bad, error", [(np.nan, ValueError), (0.0, NonPositiveFilter)])
+    @pytest.mark.parametrize("name", STACK_CALLS)
+    def test_bad_stack_member(self, camera, observer, name, bad, error):
+        stack = np.full((3, N), 0.5)
+        stack[1, 7] = bad
+        with pytest.raises(error) as raised:
+            FILTER_CALLS[name](camera, observer, stack)
+        assert type(raised.value) is error

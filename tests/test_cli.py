@@ -69,6 +69,17 @@ class TestEvaluate:
         assert code == 2
         assert "bad.csv" in err and "line 2" in err
 
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--camera"),
+                                               ("evaluate", "--filter"),
+                                               ("optimize", "--filter")])
+    def test_undecodable_file_exits_2_naming_path(self, capsys, tmp_path, command, flag):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xffwavelength,r,g,b\n")
+        code = main([command, flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: " in err and "decode" in err
+
     def test_rank_deficient_camera_exits_2_naming_path(self, capsys, tmp_path):
         # The sensor set's rank is read from the R of the QR that builds its
         # basis: three copies of one channel have rank 1.
