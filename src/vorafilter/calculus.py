@@ -175,9 +175,27 @@ def _dense_operator(d: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[n
     return dense
 
 
+def _capacitance(d: NDArray[np.float64],
+                 u: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``D^-1 U`` and the k x k capacitance ``I + U^T D^-1 U`` of
+    ``diag(d) + U U^T``, the system :func:`_woodbury` solves."""
+    du = u / d[:, None]
+    return du, np.eye(u.shape[1]) + u.T @ du
+
+
+def _woodbury(d: NDArray[np.float64], u: NDArray[np.float64], du: NDArray[np.float64],
+              capacitance: NDArray[np.float64],
+              rhs: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``(diag(d) + U U^T)^-1 rhs`` by Sherman-Morrison-Woodbury, from
+    :func:`_capacitance`'s ``du`` and ``capacitance``, in O(k^2 n); unchecked.
+    Raises ``LinAlgError`` when the capacitance is singular."""
+    db = rhs / d
+    return db - du @ np.linalg.solve(capacitance, u.T @ db)
+
+
 def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
                     rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Solve ``(diag(d) + U U^T) x = rhs`` by Sherman-Morrison-Woodbury.
+    """Solve ``(diag(d) + U U^T) x = rhs`` by :func:`_woodbury`.
 
     The O(n k) residual decides whether to trust the result; if it is not
     finite or its normwise backward error exceeds ``WOODBURY_BACKWARD_TOL``
@@ -185,11 +203,9 @@ def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
     ``LinAlgError`` when that dense system is singular.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        du = u / d[:, None]
-        db = rhs / d
-        capacitance = np.eye(u.shape[1]) + u.T @ du
+        du, capacitance = _capacitance(d, u)
         try:
-            x = db - du @ np.linalg.solve(capacitance, u.T @ db)
+            x = _woodbury(d, u, du, capacitance, rhs)
         except np.linalg.LinAlgError:
             x = None
         if x is not None:

@@ -44,9 +44,14 @@ on the wall that cuts a step short; a step is cut back along its ray to the
 first pair it would break (Nocedal & Wright 2006, ch. 16).
 
 The trust region takes over where ``H`` is indefinite, as it is at the unit
-filter. Newton's subproblem, and every subproblem in basis mode, is solved
-by truncated conjugate gradients on the factored operator, preconditioned
-by ``|d|``, so no n x n matrix is formed for a filter. For a filter,
+filter. For a filter, Newton first asks once per iterate whether its model
+on the free coordinates is negative definite. One Cholesky of the 9 x 9
+Woodbury capacitance decides it, and where it holds, the model's maximizer
+``-H^-1 g`` is one Woodbury solve: the step at every radius it fits in
+(More & Sorensen 1983; Conn, Gould & Toint 2000, ch. 7). Newton's other
+steps, and every subproblem in basis mode, are solved by truncated
+conjugate gradients on the factored operator, preconditioned by ``|d|``,
+so no n x n matrix is formed for a filter. For a filter,
 ``grad``'s diagonal model needs no iteration: its step is the model's
 maximizer along the scaled gradient within the radius, the scaled Cauchy
 point (Conn, Gould & Toint 2000, ch. 6). That is CG's first iterate, and on
@@ -72,8 +77,9 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .calculus import (BasisSet, _basis_hessian, _filtered_basis, _gradient,
-                       _hessian_diagonal, _hessian_factors, _projected_observer)
+from .calculus import (BasisSet, _basis_hessian, _capacitance, _filtered_basis,
+                       _gradient, _hessian_diagonal, _hessian_factors,
+                       _projected_observer, _woodbury)
 from .errors import NoAscent, NonPositiveFilter
 # Not called here: bench/run.py traces QR calls through this module's name.
 from .projectors import orthonormal_columns  # noqa: F401
@@ -185,7 +191,9 @@ def _truncated_cg(hess: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     Euclidean norm, not in the preconditioner's, so the iterates' norms need
     not grow and stopping at the first crossing can end short of the
     Steihaug point: an approximation kept so that the radius means the same
-    for every preconditioner.
+    for every preconditioner. Newton on a filter calls it only for a step
+    :func:`_model_peak` does not give: where the model is not negative
+    definite, or its peak lies outside the radius.
     """
     s = np.zeros_like(grad)
     r = grad  # gradient of the model at s
@@ -234,6 +242,28 @@ def _cauchy_step(grad: NDArray[np.float64], diag: NDArray[np.float64],
     curv = float(p @ (diag * p))
     t_peak = float(grad @ p) / -curv if curv < 0.0 else np.inf
     return lambda radius: min(t_peak, radius / p_norm) * p
+
+
+def _model_peak(d: NDArray[np.float64], u: NDArray[np.float64],
+                grad: NDArray[np.float64]) -> NDArray[np.float64] | None:
+    """The maximizer ``-H^-1 grad`` of ``grad.s + s.H s / 2`` where
+    ``H = diag(d) + U U^T`` is negative definite; None where it is not.
+
+    A coordinate with ``d_i >= 0`` has ``e_i.H e_i = d_i + |U_i|^2 >= 0``.
+    Where ``d < 0``, ``H`` is negative definite exactly when the capacitance
+    ``I + U^T D^-1 U`` is positive definite (Haynsworth's inertia
+    additivity), so a Cholesky of the k x k capacitance decides it, and the
+    same capacitance gives the step by Woodbury in O(k^2 n). The solve is
+    not checked: the trust region's ratio test vets the step.
+    """
+    if not np.all(d < 0.0):
+        return None
+    du, capacitance = _capacitance(d, u)
+    try:
+        np.linalg.cholesky(capacitance)
+    except np.linalg.LinAlgError:
+        return None
+    return _woodbury(d, u, du, capacitance, -grad)
 
 
 def _preconditioner(diag: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -403,10 +433,12 @@ class _RunState:
         mode ``B^T H B``. For a filter the step is projected onto the box,
         for coefficients cut back to the box, and the gain predicted for the
         step so changed. The model is built once here, from one projection
-        of the observer's basis, so each radius costs CG iterations only,
-        and for ``grad`` on a filter the closed-form :func:`_cauchy_step`;
-        ``grad`` builds ``d`` alone, never ``U``. Called once per iterate:
-        ``grad`` keeps the iterate and gradient for the next call's model.
+        of the observer's basis, and so is Newton's interior step on a
+        filter, :func:`_model_peak`: each radius then costs that step where
+        it fits, CG iterations otherwise, and for ``grad`` on a filter the
+        closed-form :func:`_cauchy_step`; ``grad`` builds ``d`` alone, never
+        ``U``. Called once per iterate: ``grad`` keeps the iterate and
+        gradient for the next call's model.
         """
         cfg = self.config
         r = _projected_observer(self.w, self.v)
@@ -434,7 +466,12 @@ class _RunState:
             return d * p + u @ (u.T @ p)
 
         if cfg.method == "newton":
+            peak = _model_peak(d, u, grad)
+            peak_norm = np.inf if peak is None else float(np.linalg.norm(peak))
+
             def model_step(radius: float) -> NDArray[np.float64]:
+                if peak_norm <= radius:
+                    return peak
                 return _truncated_cg(hess, grad, precond, radius)
         else:
             model_step = _cauchy_step(grad, d, precond)

@@ -29,13 +29,15 @@ from vorafilter import (
     resample_to_grid,
     vora_value,
 )
-from vorafilter.calculus import _filtered_basis, _hessian_diagonal, _projected_observer
+from vorafilter.calculus import (_dense_operator, _filtered_basis, _hessian_diagonal,
+                                 _projected_observer)
 from vorafilter.optimize import (
     _RADIUS_INIT,
     _RADIUS_MAX,
     IterationRecord,
     _cauchy_step,
     _cut_back,
+    _model_peak,
     _nnls,
     _preconditioner,
     _RunState,
@@ -172,11 +174,19 @@ class TestWoodburyFallback:
 class TestTrustRegionNewton:
     """Newton on the quotient by the scale gauge, in a trust region."""
 
-    def test_interior_step_is_the_newton_step_in_the_chart(self, camera, observer):
+    def test_interior_step_is_the_newton_step_in_the_chart(self, monkeypatch, camera,
+                                                           observer):
         # Near the optimum the value's Hessian is negative definite in the
         # scale chart (all coordinates but the peak), so a large radius
-        # leaves the Newton step of the value there: H_FF s_F = -g_F.
+        # leaves the Newton step of the value there: H_FF s_F = -g_F, one
+        # Woodbury solve without CG.
         optimum = optimize(camera, observer, OptimizerConfig(method="newton"))
+
+        def forbidden(*args):
+            raise AssertionError("an interior step ran CG")
+
+        monkeypatch.setattr(importlib.import_module("vorafilter.optimize"),
+                            "_truncated_cg", forbidden)
         rng = np.random.default_rng(3)
         f = optimum.final_filter.transmittance * (1.0 + 0.01 * rng.standard_normal(N))
         filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f / f.max())
@@ -190,6 +200,74 @@ class TestTrustRegionNewton:
         assert np.linalg.norm(newton) < np.linalg.norm(state.f)
         assert np.linalg.norm(step - newton) <= 1e-10 * np.linalg.norm(newton)
         assert predicted == pytest.approx(0.5 * float(g @ newton), rel=1e-9)
+
+    def test_model_peak_exists_where_the_model_is_negative_definite(self):
+        # With d < 0, H = diag(d) + U U^T is negative definite exactly when
+        # the capacitance I + U^T D^-1 U is positive definite, and the
+        # model's peak is then -H^-1 g.
+        rng = np.random.default_rng(0)
+        outcomes = set()
+        for _ in range(100):
+            d = -rng.uniform(0.5, 2.0, 12)
+            u = rng.uniform(0.1, 0.5) * rng.standard_normal((12, 9))
+            g = rng.standard_normal(12)
+            dense = _dense_operator(d, u)
+            definite = bool(np.linalg.eigvalsh(dense).max() < 0.0)
+            peak = _model_peak(d, u, g)
+            assert (peak is not None) == definite
+            outcomes.add(definite)
+            if definite:
+                newton = np.linalg.solve(dense, -g)
+                assert np.linalg.norm(peak - newton) <= 1e-10 * np.linalg.norm(newton)
+        assert outcomes == {True, False}
+        # A zero in d leaves a nonnegative diagonal entry of H.
+        d[0] = 0.0
+        assert _model_peak(d, 1e-3 * u, g) is None
+
+    def test_indefinite_model_takes_truncated_cg(self, monkeypatch, camera, observer):
+        # At the unit filter H has 2 positive eigenvalues, so with the peak
+        # held at least one is left (interlacing): the model has no peak,
+        # and the first step is CG's, on the boundary of the region.
+        steps = []
+
+        def recorded(*args):
+            steps.append(_truncated_cg(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(importlib.import_module("vorafilter.optimize"),
+                            "_truncated_cg", recorded)
+        state = _RunState(camera, observer, OptimizerConfig(method="newton"), None)
+        h = hessian(camera, observer, FilterSpectrum(grid=DEFAULT_GRID,
+                                                     transmittance=state.f))
+        assert np.sum(np.linalg.eigvalsh(h) > 0.0) == 2
+        radius = _RADIUS_INIT * np.linalg.norm(state.f)
+        state.trust_subproblem()[1](radius)
+        assert len(steps) == 1
+        assert np.linalg.norm(steps[0]) == pytest.approx(radius, rel=1e-12)
+
+    def test_subproblem_work_does_not_grow_with_n(self, monkeypatch, cie_table):
+        # CG's products per solve grow with n, up to 62 at n = 601. Interior
+        # steps are one Woodbury solve instead, so only the boundary steps
+        # of a run's first iterations take CG products.
+        products = []
+
+        def counted(hess, *args):
+            def product(p):
+                products.append(None)
+                return hess(p)
+            return _truncated_cg(product, *args)
+
+        monkeypatch.setattr(importlib.import_module("vorafilter.optimize"),
+                            "_truncated_cg", counted)
+        for n in (31, 301, 601):
+            grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
+            observer = SensorSet(grid=grid, responses=resample_to_grid(
+                cie_table.wavelengths, cie_table.values, grid))
+            products.clear()
+            report = optimize(gaussian_camera(grid), observer,
+                              OptimizerConfig(method="newton"))
+            assert report.termination == "converged_grad", n
+            assert len(products) <= 40, n
 
     def test_truncated_cg_solves_the_trust_region_model(self):
         grad = np.array([1.0, 1.0])
@@ -448,9 +526,9 @@ class TestSpectralModel:
 
     @pytest.mark.parametrize("basis, config, digest", [
         (None, {},
-         "2250531f0d1598128f2f4798ab6ce7f89717acd67d106c49a15361b643a48e97"),
+         "5a37bcd1f354922f87d8e71f96cfbaa8b989722c1b7ff16fb580634f07596dc5"),
         (None, {"camera": 1001, "tau_min": 0.3, "init": "random", "seed": 5},
-         "11cfbdd6073883f321d1bf8e7172e2018edf922ed927753f170d612d612e8b2b"),
+         "2e2d83094a8a12ecb0607426a0f74a7db20ecf44f0fdfa3e03e6b95899b860bd"),
         (("cosine", 8), {},
          "7bbd45776d689c273c38bc66b9e2e6b717835021f53ae9f19134179e21584aff"),
         (("cosine", 8), {"camera": 1001, "tau_min": 0.3, "init": "random", "seed": 5},
@@ -462,8 +540,10 @@ class TestSpectralModel:
     ])
     def test_newton_is_unchanged(self, camera, observer, basis, config, digest):
         # The digests were pinned before grad had a curvature scalar: the
-        # Newton model does not read it. They hold for the float64 rounding
-        # of x86-64 numpy with OpenBLAS; another BLAS may round differently.
+        # Newton model does not read it. The two for a filter were pinned
+        # again when interior steps became one Woodbury solve. They hold for
+        # the float64 rounding of x86-64 numpy with OpenBLAS; another BLAS
+        # may round differently.
         from conftest import make_random_camera
         config = dict(config)
         if "camera" in config:
