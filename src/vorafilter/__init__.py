@@ -55,7 +55,7 @@ from .spectral import (
     resample_to_grid,
     write_filter_csv,
 )
-from .vora import VoraValue, filtered_vora_value, regularized_objective, vora_value
+from .vora import VoraValue, filtered_vora_value, vora_value
 
 __version__ = "0.1.0"
 
@@ -98,7 +98,6 @@ __all__ = [
     "newton_step",
     "optimize",
     "parse_spectral_csv",
-    "regularized_objective",
     "resample_to_grid",
     "vora_value",
     "write_filter_csv",

@@ -74,7 +74,7 @@ FD_HESSIAN_STEP = 1e-5
 # the probe stack and of the function's work on it, whatever n is.
 FD_BLOCK_PAIRS = 128
 
-BASIS_KINDS = ("cosine", "gaussian", "identity")
+BASIS_KINDS = ("cosine", "gaussian")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +83,6 @@ class BasisSet:
 
     grid: WavelengthGrid
     basis: NDArray[np.float64]
-    kind: str = "custom"
 
     def __post_init__(self) -> None:
         arr = np.array(self.basis, dtype=np.float64, copy=True)
@@ -112,16 +111,13 @@ def make_basis(kind: str, k: int, grid: WavelengthGrid) -> BasisSet:
 
     cosine    column j samples cos(pi * j * (i + 1/2) / n); j = 0 is constant
     gaussian  k bumps, centers evenly spaced over the grid, sigma = span / k
-    identity  first k columns of the identity (no smoothing)
     """
     if kind not in BASIS_KINDS:
         raise BadBasisSpec(f"unknown basis kind {kind!r}; choose from {BASIS_KINDS}")
     n = grid.count
     if not _is_integer(k) or not 1 <= k <= n:
         raise BadBasisSpec(f"basis size k={k!r} must be an integer in [1, {n}]")
-    if kind == "identity":
-        cols = np.eye(n)[:, :k]
-    elif kind == "cosine":
+    if kind == "cosine":
         i = np.arange(n, dtype=np.float64)
         cols = np.column_stack(
             [np.cos(np.pi * j * (i + 0.5) / n) for j in range(k)]
@@ -133,7 +129,7 @@ def make_basis(kind: str, k: int, grid: WavelengthGrid) -> BasisSet:
         cols = np.column_stack(
             [np.exp(-0.5 * ((lam - c) / sigma) ** 2) for c in centers]
         )
-    return BasisSet(grid=grid, basis=cols, kind=kind)
+    return BasisSet(grid=grid, basis=cols)
 
 
 def _projected_observer(w: NDArray[np.float64],
@@ -274,11 +270,12 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     """Analytic Hessian of the filtered Vora-Value, plus ``alpha * I``: an
     n x n array.
 
-    With ``alpha = 0`` this is the plain second derivative; a positive
-    ``alpha`` gives the regularized-objective Hessian used by the Newton
-    optimizer. The matrix is ``diag(d) + U U^T`` from the factors that
-    :func:`newton_step`, :func:`hessian_in_basis` and the optimizer use, so
-    it is symmetric by construction. Non-finite entries raise ``ValueError``.
+    With ``alpha = 0`` this is the plain second derivative, which the Newton
+    optimizer models with; a positive ``alpha`` gives the regularized system
+    that :func:`newton_step` solves. The matrix is ``diag(d) + U U^T`` from
+    the factors that :func:`newton_step`, :func:`hessian_in_basis` and the
+    optimizer use, so it is symmetric by construction. Non-finite entries
+    raise ``ValueError``.
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")

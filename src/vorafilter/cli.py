@@ -175,13 +175,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "grid": f"{grid.start_nm:g}:{grid.step_nm:g}:{grid.count}",
         "vora_value": native.raw,
     }
+    filtered = None
+    if args.filter:
+        # Any strictly positive filter is valued: the floor is the least positive float.
+        filt = _load_filter(args.filter, grid, tau_min=np.nextafter(0.0, 1.0), tau_max=np.inf)
+        filtered = filtered_vora_value(camera, observer, filt)
+        payload["filtered_vora_value"] = filtered.raw
     print(f"grid: {grid.start_nm:g}:{grid.step_nm:g}:{grid.count} "
           f"({grid.start_nm:g}-{grid.end_nm:g} nm)")
     print(f"vora_value: {native.value:.12f}")
-    if args.filter:
-        filt = _load_filter(args.filter, grid, tau_min=1e-12, tau_max=np.inf)
-        filtered = filtered_vora_value(camera, observer, filt)
-        payload["filtered_vora_value"] = filtered.raw
+    if filtered is not None:
         print(f"filtered_vora_value: {filtered.value:.12f}")
     if args.json:
         print(json.dumps(payload, sort_keys=True))

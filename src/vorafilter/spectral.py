@@ -148,10 +148,9 @@ class FilterSpectrum:
         object.__setattr__(self, "transmittance", _readonly(arr))
 
     @classmethod
-    def ones(cls, grid: WavelengthGrid, tau_min: float = DEFAULT_TAU_MIN,
-             tau_max: float = DEFAULT_TAU_MAX) -> "FilterSpectrum":
+    def ones(cls, grid: WavelengthGrid) -> "FilterSpectrum":
         """The neutral filter (transmits everything)."""
-        return cls(grid, np.ones(grid.count), tau_min=tau_min, tau_max=tau_max)
+        return cls(grid, np.ones(grid.count))
 
 
 def _require_same_grid(*grids: WavelengthGrid) -> None:
@@ -358,12 +357,10 @@ def write_filter_csv(path: str | os.PathLike[str], filt: FilterSpectrum) -> None
                                      ("transmittance",)))
 
 
-def gaussian_camera(grid: WavelengthGrid = DEFAULT_GRID,
-                    peaks_nm: tuple[float, float, float] = (450.0, 550.0, 600.0),
-                    sigma_nm: float = 30.0,
-                    channel_names: tuple[str, str, str] = ("b", "g", "r")) -> SensorSet:
-    """Synthetic camera with one Gaussian sensitivity lobe per channel."""
+def gaussian_camera(grid: WavelengthGrid = DEFAULT_GRID) -> SensorSet:
+    """Synthetic camera with one Gaussian sensitivity lobe per channel: at
+    450, 550 and 600 nm, 30 nm wide."""
     lam = grid.wavelengths
-    cols = [np.exp(-0.5 * ((lam - mu) / sigma_nm) ** 2) for mu in peaks_nm]
+    cols = [np.exp(-0.5 * ((lam - mu) / 30.0) ** 2) for mu in (450.0, 550.0, 600.0)]
     return SensorSet(grid=grid, responses=np.column_stack(cols),
-                     channel_names=channel_names)
+                     channel_names=("b", "g", "r"))

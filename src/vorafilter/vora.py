@@ -1,4 +1,4 @@
-"""The Vora-Value and its filtered and regularized variants.
+"""The Vora-Value and its filtered variant.
 
 The Vora-Value measures how similarly two trichromatic sensor sets sample
 spectra: it is the mean squared cosine of the principal angles between their
@@ -15,9 +15,7 @@ ill-conditioned sensor matrices.
 
 A filter argument is checked where it enters, by the one intake in
 :mod:`vorafilter.spectral`: :func:`filtered_vora_value` takes a
-``FilterSpectrum`` or an (m, n) stack of filters, and
-:func:`regularized_objective` one ``FilterSpectrum`` (an array raises
-``TypeError``).
+``FilterSpectrum`` or an (m, n) stack of filters.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .projectors import orthonormal_columns
-from .spectral import (FilterSpectrum, SensorSet, _filter_values, _require_same_grid,
-                       _single_filter_values)
+from .spectral import FilterSpectrum, SensorSet, _filter_values, _require_same_grid
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
 # not round-off.
@@ -95,17 +92,3 @@ def filtered_vora_value(camera: SensorSet, observer: SensorSet,
     if not np.all((-RANGE_TOL <= raw) & (raw <= 1.0 + RANGE_TOL)):
         raise ValueError("a Vora-Value of the stack is outside [0, 1] tolerance")
     return raw
-
-
-def regularized_objective(camera: SensorSet, observer: SensorSet,
-                          filt: FilterSpectrum, alpha: float) -> float:
-    """Filtered Vora-Value plus the quadratic penalty ``alpha/2 * ||f||^2``.
-
-    This is the primitive whose gradient is the filtered-value gradient plus
-    ``alpha * f`` and whose Hessian gains ``alpha * I``; the penalty is what
-    makes Newton steps informative (see :func:`~vorafilter.calculus.newton_step`).
-    """
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError("alpha must be finite and nonnegative")
-    f = _single_filter_values(filt, camera.grid)
-    return filtered_vora_value(camera, observer, filt).raw + 0.5 * alpha * float(f @ f)

@@ -9,7 +9,8 @@ Nothing here shares code with the package's evaluation paths:
 * Projectors are recomputed from the same definition in floats.
 * The Hessian is assembled densely from the paper's Hadamard-product
   expression, not from the package's ``diag(d) + U U^T`` factors.
-* The random-search baseline evaluates filters with its own stacked QR.
+* The random-search baseline and the regularized objective ``mu`` evaluate
+  filters with their own stacked QR.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ def batched_vora_values(filters: np.ndarray, camera: np.ndarray,
     w = np.linalg.qr(stacked)[0]
     cross = np.einsum("bij,ik->bjk", w, v)
     return np.sum(cross**2, axis=(1, 2)) / 3.0
+
+
+def regularized_objective(camera: np.ndarray, observer: np.ndarray,
+                          f: np.ndarray, alpha: float) -> float:
+    """The paper's regularized objective ``mu = value + alpha/2 ||f||^2`` of
+    one filter, its value from :func:`batched_vora_values`."""
+    f = np.asarray(f, dtype=np.float64)
+    value = batched_vora_values(f[None, :], camera, observer)[0]
+    return float(value) + 0.5 * alpha * float(f @ f)
 
 
 def random_search_best(camera: np.ndarray, observer: np.ndarray,

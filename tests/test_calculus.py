@@ -32,7 +32,6 @@ from vorafilter import (
     make_basis,
     newton_step,
     optimize,
-    regularized_objective,
     resample_to_grid,
 )
 from vorafilter.calculus import (FD_BLOCK_PAIRS, _filtered_basis, _hessian_factors,
@@ -198,7 +197,7 @@ class TestHessian:
 
 class TestBasis:
     def test_identity_basis_matches_full_gradient(self, camera, observer):
-        basis = make_basis("identity", N, DEFAULT_GRID)
+        basis = BasisSet(DEFAULT_GRID, np.eye(N))
         filt = make_random_filter(31)
         full = gradient(camera, observer, filt)
         via_basis = gradient_in_basis(camera, observer, basis,
@@ -254,10 +253,6 @@ class TestBasis:
 
 
 class TestMakeBasis:
-    def test_identity_full_size(self):
-        basis = make_basis("identity", N, DEFAULT_GRID)
-        assert np.array_equal(basis.basis, np.eye(N))
-
     def test_cosine_first_atom_constant(self):
         basis = make_basis("cosine", 1, DEFAULT_GRID)
         assert np.array_equal(basis.basis, np.ones((N, 1)))
@@ -275,8 +270,10 @@ class TestMakeBasis:
             assert s[-1] > s[0] * N * np.finfo(np.float64).eps * 1e3
 
     def test_bad_specs_rejected(self):
-        with pytest.raises(BadBasisSpec):
-            make_basis("wavelet", 4, DEFAULT_GRID)
+        # identity is full mode, built as BasisSet(grid, np.eye(n)), not a kind.
+        for kind in ("wavelet", "identity"):
+            with pytest.raises(BadBasisSpec, match="unknown basis kind"):
+                make_basis(kind, 8, DEFAULT_GRID)
         with pytest.raises(BadBasisSpec):
             make_basis("cosine", 0, DEFAULT_GRID)
         with pytest.raises(BadBasisSpec):
@@ -350,7 +347,7 @@ class TestFloorHuggingFilters:
         f = np.full(N, 1e-200)
         f[15:17] = 1.0
         filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f, tau_min=1e-300)
-        identity = make_basis("identity", N, DEFAULT_GRID)
+        identity = BasisSet(DEFAULT_GRID, np.eye(N))
         calls = [
             lambda: filtered_vora_value(camera, observer, filt),
             lambda: gradient(camera, observer, filt),
@@ -382,8 +379,6 @@ def fine_grid_instance(cie_table, n, floor):
 
 def basis_coefficients(basis, target):
     """Coefficients of a strictly positive ``B c`` close to ``target``."""
-    if basis.kind == "identity":
-        return target
     coeffs, *_ = np.linalg.lstsq(basis.basis, target, rcond=None)
     # The constant atom shifts B c uniformly: lift its minimum to min(target).
     coeffs[0] += target.min() - (basis.basis @ coeffs).min()
@@ -397,8 +392,9 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
     """Consumers that share one code path return exactly the same numbers,
     so none can drift from the rest."""
     grid, camera, observer, target = fine_grid_instance(cie_table, n, floor)
-    basis = make_basis(kind, k or n, grid)
-    coeffs = basis_coefficients(basis, target)
+    full = kind == "identity"
+    basis = BasisSet(grid, np.eye(n)) if full else make_basis(kind, k, grid)
+    coeffs = target if full else basis_coefficients(basis, target)
     f = basis.basis @ coeffs
     filt = FilterSpectrum(grid=grid, transmittance=f, tau_min=1e-12, tau_max=np.inf)
     cols, alpha = basis.basis, 1e-4
@@ -410,7 +406,6 @@ def test_consumers_of_the_kernel_agree_exactly(cie_table, n, floor, kind, k):
     # free: a step in the scale chart (for a filter the peak stays put, for
     # coefficients the step is orthogonal to them) within the radius and the
     # box, whose predicted gain is the value's quadratic model.
-    full = kind == "identity"
     config = OptimizerConfig(method="newton", alpha=alpha, tau_min=1e-5,
                              basis=None if full else basis)
     state = _RunState(camera, observer, config, None)
@@ -565,7 +560,8 @@ FILTER_CALLS = {
     "gradient": lambda cam, obs, f: gradient(cam, obs, f),
     "hessian": lambda cam, obs, f: hessian(cam, obs, f),
     "newton_step": lambda cam, obs, f: newton_step(cam, obs, f, 1e-4),
-    "regularized_objective": lambda cam, obs, f: regularized_objective(cam, obs, f, 1e-4),
+    "regularized_objective": lambda cam, obs, f: _RunState(
+        cam, obs, OptimizerConfig(alpha=1e-4), f).mu(),
     "optimize": lambda cam, obs, f: optimize(cam, obs, OptimizerConfig(max_iters=1),
                                              initial_filter=f),
 }

@@ -11,6 +11,8 @@ import pytest
 from conftest import cie_csv_text, sabotage_gradient
 from vorafilter import (
     DEFAULT_GRID,
+    FilterSpectrum,
+    filtered_vora_value,
     format_spectral_csv,
     make_basis,
     optimize,
@@ -131,6 +133,30 @@ class TestEvaluate:
         payload = json.loads(out.splitlines()[-1])
         assert "filtered_vora_value" in payload
         assert payload["filtered_vora_value"] != payload["vora_value"]
+
+    def test_any_strictly_positive_filter_is_valued(self, capsys, tmp_path, camera,
+                                                    observer):
+        fpath = tmp_path / "filter.csv"
+
+        def evaluate(trans):
+            fpath.write_text(format_spectral_csv(DEFAULT_GRID.wavelengths, trans,
+                                                 ("transmittance",)), encoding="utf-8")
+            code = main(["evaluate", "--filter", str(fpath), "--json"])
+            return code, capsys.readouterr()
+
+        # An entry far below any physical floor is still a valid filter.
+        trans = np.ones(DEFAULT_GRID.count)
+        trans[5] = 1e-13
+        code, captured = evaluate(trans)
+        assert code == 0
+        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=trans, tau_min=1e-13)
+        assert json.loads(captured.out.splitlines()[-1])["filtered_vora_value"] == \
+            filtered_vora_value(camera, observer, filt).raw
+        # A zero entry is not, and is refused before anything is printed.
+        trans[5] = 0.0
+        code, captured = evaluate(trans)
+        assert (code, captured.out) == (2, "")
+        assert "strictly positive" in captured.err
 
 
 class TestOptimize:
@@ -255,6 +281,16 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert code == 2
         assert repr(spec) in err
+
+    def test_identity_basis_exits_2_naming_the_kinds(self, capsys):
+        # Full mode is the identity basis; the --basis kinds are the smooth ones.
+        code = main(["optimize", "--basis", "identity:8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "unknown basis kind" in lines[0]
+        assert "'cosine'" in lines[0] and "'gaussian'" in lines[0]
 
     def test_non_numeric_filter_cell_exits_2_naming_path_and_line(self, capsys,
                                                                   tmp_path):

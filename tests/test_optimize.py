@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_filter
+from oracles import regularized_objective
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
@@ -316,6 +317,12 @@ class TestTrustRegionNewton:
                 b.vora, b.step_len, b.grad_inf_norm, b.backtracks)
             assert a.mu == a.vora != b.mu
         assert len(runs[0].iterations) == len(runs[1].iterations)
+        # The first and last rows report the paper's mu at the unit and the final filter.
+        rows = runs[1].iterations
+        for row, f in ((rows[0], np.ones(DEFAULT_GRID.count)),
+                       (rows[-1], runs[1].final_filter.transmittance)):
+            mu = regularized_objective(camera.responses, observer.responses, f, 1e-4)
+            assert abs(row.mu - mu) <= 1e-14
 
     @pytest.mark.parametrize("n, seed, kind, k, race, method, steps", [
         pytest.param(*case, method, 40 if method == "newton" else grad_steps,

@@ -6,21 +6,23 @@ import numpy as np
 import pytest
 
 from conftest import make_random_camera, make_random_filter
-from oracles import conditioned_sensor_matrix, exact_filtered_vora, exact_vora
+from oracles import (conditioned_sensor_matrix, exact_filtered_vora, exact_vora,
+                     regularized_objective)
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
     GridMismatch,
     NonPositiveFilter,
+    OptimizerConfig,
     RankDeficient,
     SensorSet,
     VoraValue,
     WavelengthGrid,
     filtered_vora_value,
     gradient,
-    regularized_objective,
     vora_value,
 )
+from vorafilter.optimize import _RunState
 
 N = DEFAULT_GRID.count
 
@@ -183,29 +185,35 @@ class TestFilterStacks:
 
 
 class TestRegularizedObjective:
+    """The regularized objective ``mu = value + alpha/2 ||f||^2`` that an
+    optimization run reports for its iterate."""
+
+    @staticmethod
+    def run_state(camera, observer, filt, alpha):
+        return _RunState(camera, observer, OptimizerConfig(alpha=alpha), filt)
+
     def test_alpha_zero_equals_filtered_value(self, camera, observer):
-        filt = make_random_filter(1)
-        assert regularized_objective(camera, observer, filt, 0.0) == \
-            filtered_vora_value(camera, observer, filt).raw
+        state = self.run_state(camera, observer, make_random_filter(1), 0.0)
+        iterate = FilterSpectrum(grid=DEFAULT_GRID, transmittance=state.f)
+        assert state.mu() == filtered_vora_value(camera, observer, iterate).raw
 
     def test_unit_filter_alpha_two_adds_n(self, camera, observer):
         filt = FilterSpectrum.ones(DEFAULT_GRID)
         base = filtered_vora_value(camera, observer, filt).raw
-        assert regularized_objective(camera, observer, filt, 2.0) == base + 31.0
+        assert self.run_state(camera, observer, filt, 2.0).mu() == base + 31.0
 
     def test_penalty_is_half_alpha_norm_squared(self, camera, observer):
-        filt = make_random_filter(8)
         alpha = 1e-3
-        mu = regularized_objective(camera, observer, filt, alpha)
-        nu = filtered_vora_value(camera, observer, filt).raw
-        f = filt.transmittance
-        assert abs((mu - nu) - 0.5 * alpha * float(f @ f)) < 1e-14
+        state = self.run_state(camera, observer, make_random_filter(8), alpha)
+        f = state.f
+        assert abs((state.mu() - state.value) - 0.5 * alpha * float(f @ f)) < 1e-14
+        oracle = regularized_objective(camera.responses, observer.responses, f, alpha)
+        assert abs(state.mu() - oracle) <= 1e-14
 
-    def test_negative_alpha_rejected(self, camera, observer):
+    def test_negative_alpha_rejected(self):
         for bad in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                regularized_objective(camera, observer,
-                                      FilterSpectrum.ones(DEFAULT_GRID), bad)
+            with pytest.raises(ValueError, match="alpha"):
+                OptimizerConfig(alpha=bad)
 
 
 def test_vora_value_float_protocol(camera, observer):
