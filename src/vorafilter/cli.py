@@ -93,10 +93,12 @@ def _load_sensors(path: str | None, default_file: str,
         raise VoraFilterError(f"{label}: {exc}") from exc
 
 
-def _load_filter(path: str, grid: WavelengthGrid, tau_min: float,
-                 tau_max: float) -> FilterSpectrum:
+def _load_filter(path: str, grid: WavelengthGrid) -> FilterSpectrum:
+    # Any strictly positive filter is read: the floor is the least positive
+    # float and there is no ceiling. A design start outside the optimizer's
+    # box is rescaled and clipped into it by the optimizer itself.
     try:
-        return load_filter_spectrum(path, grid, tau_min, tau_max)
+        return load_filter_spectrum(path, grid, np.nextafter(0.0, 1.0), np.inf)
     except (VoraFilterError, ValueError) as exc:
         raise VoraFilterError(f"{path}: {exc}") from exc
 
@@ -177,8 +179,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     }
     filtered = None
     if args.filter:
-        # Any strictly positive filter is valued: the floor is the least positive float.
-        filt = _load_filter(args.filter, grid, tau_min=np.nextafter(0.0, 1.0), tau_max=np.inf)
+        filt = _load_filter(args.filter, grid)
         filtered = filtered_vora_value(camera, observer, filt)
         payload["filtered_vora_value"] = filtered.raw
     print(f"grid: {grid.start_nm:g}:{grid.step_nm:g}:{grid.count} "
@@ -256,7 +257,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     config = OptimizerConfig(basis=basis, **given)
     initial = None
     if args.filter:
-        initial = _load_filter(args.filter, grid, config.tau_min, config.tau_max)
+        initial = _load_filter(args.filter, grid)
     report = optimize(camera, observer, config, initial_filter=initial)
 
     if args.out_filter:

@@ -9,6 +9,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -238,7 +239,7 @@ def parse_spectral_csv(text: str, expected_channels: int) -> SpectralTable:
             numbers = [float(f) for f in fields]
         except ValueError as exc:
             raise MalformedCsv(f"line {lineno}: non-numeric cell ({exc})") from None
-        if not all(np.isfinite(numbers)):
+        if not all(map(math.isfinite, numbers)):
             raise MalformedCsv(f"line {lineno}: non-finite value")
         if wavelengths:
             if numbers[0] == wavelengths[-1]:

@@ -319,6 +319,35 @@ class TestOptimize:
         assert code == 2
         assert "same.csv" in err
 
+    @pytest.mark.parametrize("basis", [[], ["--basis", "cosine:8"]])
+    def test_start_filter_outside_the_box_is_rescaled(self, capsys, tmp_path, basis):
+        # The optimizer scales every start to its box, so a transmittance
+        # file in percent designs as the same file in fractions.
+        lam = DEFAULT_GRID.wavelengths
+        trans = 0.3 + 0.6 * np.exp(-0.5 * ((lam - 520.0) / 60.0) ** 2)
+        payloads = []
+        for scale in (100.0, 1.0):
+            fpath = tmp_path / f"start_{scale:g}.csv"
+            fpath.write_text(format_spectral_csv(lam, trans * scale, ("transmittance",)),
+                             encoding="utf-8")
+            code = main(["optimize", "--method", "newton", "--filter", str(fpath),
+                         "--json", *basis])
+            assert code == 0
+            payloads.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
+        percent, fraction = payloads
+        assert percent["termination"].startswith("converged")
+        for key in ("initial_vora", "final_vora"):
+            assert abs(percent[key] - fraction[key]) <= 1e-12
+        # A zero entry is still no filter.
+        fpath = tmp_path / "zero.csv"
+        trans[5] = 0.0
+        fpath.write_text(format_spectral_csv(lam, trans, ("transmittance",)),
+                         encoding="utf-8")
+        code = main(["optimize", "--filter", str(fpath), *basis])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "strictly positive" in captured.err
+
     def test_initial_filter_roundtrip(self, capsys, tmp_path):
         lam = DEFAULT_GRID.wavelengths
         start = np.full(31, 0.75)

@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_camera
 from oracles import conditioned_sensor_matrix, projector_normal_equations
@@ -95,6 +97,99 @@ class TestStacks:
     def test_one_deficient_member_rejects_the_stack(self):
         with pytest.raises(RankDeficient):
             orthonormal_columns(self.stack(deficient=True))
+
+
+def svd_rule(matrix: np.ndarray):
+    """The rank test as one SVD of every member's ``R``: ``"full"``,
+    ``"deficient"``, or the error the SVD itself raises (a NaN member)."""
+    _, r = np.linalg.qr(matrix)
+    try:
+        s = np.linalg.svd(r, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+    tol = s[..., 0] * max(matrix.shape[-2:]) * np.finfo(np.float64).eps * 1e3
+    return "full" if np.all(s[..., -1] > tol) else "deficient"
+
+
+def rank_outcome(matrix: np.ndarray):
+    """What :func:`orthonormal_columns` decides, in :func:`svd_rule`'s terms."""
+    try:
+        orthonormal_columns(matrix)
+    except RankDeficient:
+        return "deficient"
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+    return "full"
+
+
+def spread_member(rng: np.random.Generator, n: int, sigmas) -> np.ndarray:
+    """``U diag(sigmas) V^T`` with random orthonormal ``U`` (n x 3) and ``V``."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return u @ np.diag(sigmas) @ v.T
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRankTest:
+    """A bound on ``R`` clears well-conditioned members without an SVD, and
+    every decision is the one an SVD of each member's ``R`` makes."""
+
+    N = 61
+    TOL = N * np.finfo(np.float64).eps * 1e3
+
+    def test_well_conditioned_inputs_make_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        svd, calls = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        orthonormal_columns(rng.standard_normal((122, self.N, 3)))
+        orthonormal_columns(rng.standard_normal((self.N, 3)))
+        assert calls == []
+        with pytest.raises(RankDeficient):
+            orthonormal_columns(np.ones((2, self.N, 3)))
+        assert calls == [(2, 3, 3)]
+
+    def test_members_near_the_threshold_follow_the_svd(self):
+        rng = np.random.default_rng(11)
+        members = [spread_member(rng, self.N, [1.0, 1.0, rho * self.TOL])
+                   for rho in np.geomspace(0.5, 4.0, 41)]
+        outcomes = {rank_outcome(m) for m in members}
+        assert outcomes == {"full", "deficient"}
+        for m in members:
+            assert rank_outcome(m) == svd_rule(m)
+        deficient = spread_member(rng, self.N, [1.0, 1.0, 0.0])
+        tiny = 1e-200 * spread_member(rng, self.N, [1.0, 0.5, 0.2])
+        nan = spread_member(rng, self.N, [1.0, 0.5, 0.2])
+        nan[7, 1] = np.nan
+        cleared = spread_member(rng, self.N, [1.0, 0.5, 0.2])
+        extras = {"deficient": deficient, "tiny": tiny, "nan": nan}
+        assert rank_outcome(tiny) == "full"
+        for i in range(0, len(members), 8):
+            for name, extra in extras.items():
+                for stack in ([members[i], extra, cleared], [extra, members[i]]):
+                    stack = np.stack(stack)
+                    assert rank_outcome(stack) == svd_rule(stack), (i, name)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponents=st.lists(st.tuples(st.floats(0.0, 14.0), st.floats(0.0, 1.0),
+                                        st.floats(-200.0, 200.0)),
+                              min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1), lone=st.booleans())
+    def test_decisions_match_the_svd(self, exponents, seed, lone):
+        """Condition numbers 10^[0, 14], the middle singular value anywhere
+        between on a log scale, each member at its own scale 10^[-200, 200]."""
+        rng = np.random.default_rng(seed)
+        members = np.stack([
+            10.0 ** scale * spread_member(rng, self.N,
+                                          [1.0, 10.0 ** (-log_cond * mid),
+                                           10.0 ** -log_cond])
+            for log_cond, mid, scale in exponents])
+        matrix = members[0] if lone else members
+        assert rank_outcome(matrix) == svd_rule(matrix)
 
 
 class TestProjector:

@@ -94,6 +94,15 @@ class TestParseSpectralCsv:
         with pytest.raises(MalformedCsv, match="line 3"):
             parse_spectral_csv("wavelength,t\n400,1.0\n410,oops", 1)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_non_finite_cell_reports_line(self, cell, column):
+        row = ["410", "0.5", "0.6"]
+        row[column] = cell
+        text = "wavelength,a,b\n400,0.1,0.2\n# comment\n" + ",".join(row) + "\n"
+        with pytest.raises(MalformedCsv, match=r"^line 4: non-finite value$"):
+            parse_spectral_csv(text, 2)
+
     def test_comments_blanks_and_crlf(self):
         text = "# a comment\r\nwavelength,t\r\n\r\n400,0.5\r\n# mid\r\n410,0.6\r\n"
         table = parse_spectral_csv(text, 1)
