@@ -37,16 +37,16 @@ form above is the test suite's oracle for these factors. Every derivative
 here, analytic or central difference, is returned as a plain, freshly
 allocated ndarray.
 
-Central-difference oracles (:func:`fd_gradient`, :func:`fd_hessian`, one
-difference rule applied to a value or to a gradient) are provided so every
-closed form can be verified independently; they are the acceptance authority
-for both derivative orders. Each calls its function on stacks of the probes
-``f +- h e_i``, ``FD_BLOCK_PAIRS`` pairs at most per call; :func:`gradient`
-and :func:`~vorafilter.vora.filtered_vora_value` take such stacks, checked
-once and factored in one stacked QR, and return each row's per-filter result
-bit for bit. The optimizer (:mod:`vorafilter.optimize`) builds its models from
-the basis, gradient and Hessian factors here, on the one basis ``W`` it
-values each filter with, and has no closed form of its own.
+The central-difference oracle :func:`fd_gradient`, with :func:`fd_hessian`
+its name for differencing a gradient, is provided so every closed form can be
+verified independently; it is the acceptance authority for both derivative
+orders, at the one step ``FD_STEP``. It calls its function on stacks of the
+probes ``f +- h e_i``, ``FD_BLOCK_BYTES`` of them at most per call;
+:func:`gradient` and :func:`~vorafilter.vora.filtered_vora_value` take such
+stacks, checked once and factored in one stacked QR, and return each row's
+per-filter result bit for bit. The optimizer (:mod:`vorafilter.optimize`)
+builds its models from the basis, gradient and Hessian factors here, on the
+one basis ``W`` it values each filter with, and has no closed form of its own.
 """
 
 from __future__ import annotations
@@ -60,19 +60,21 @@ from numpy.typing import NDArray
 from .errors import BadBasisSpec, RankDeficient, SingularSystem, StepTooLarge
 from .projectors import orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
-                       _is_integer, _require_same_grid, _single_filter_values)
+                       _filtered_camera, _is_integer, _require_same_grid,
+                       _single_filter_values)
 
 # A Woodbury Newton solve whose normwise backward error exceeds this, or is
 # not finite, is redone densely. Measured errors are ~1e-15.
 WOODBURY_BACKWARD_TOL = 1e-10
 
-# Central-difference steps balancing truncation against round-off for
-# unit-scale filters.
-FD_GRADIENT_STEP = 1e-6
-FD_HESSIAN_STEP = 1e-5
-# Probe pairs per call of the function under difference: bounds the memory of
-# the probe stack and of the function's work on it, whatever n is.
-FD_BLOCK_PAIRS = 128
+# Central-difference step of both oracles, about eps^(1/3): it balances
+# truncation against round-off for unit-scale filters (Nocedal & Wright,
+# Numerical Optimization, 2nd ed., section 8.1).
+FD_STEP = 1e-5
+# Probe bytes per call of the function under difference, a pair being 2n
+# floats: bounds the probe stack and the function's work on it, whatever n
+# is. Every pair of an n <= 128 point fits in one call.
+FD_BLOCK_BYTES = 256 * 2**10
 
 BASIS_KINDS = ("cosine", "gaussian")
 
@@ -217,8 +219,9 @@ def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
 def _filtered_basis(camera: SensorSet, f: NDArray[np.float64]) -> NDArray[np.float64]:
     """The rank-checked basis ``W`` of ``diag(f) Q``; filters ``(..., n)``
     give the stack of bases. A filter can leave ``diag(f) Q`` numerically
-    rank deficient (near-zero transmittance on all but two rows, say)."""
-    return orthonormal_columns(f[..., :, None] * camera.responses)
+    rank deficient (near-zero transmittance on all but two rows, say), and
+    one near the float maximum can overflow it."""
+    return orthonormal_columns(_filtered_camera(camera, f))
 
 
 def _gradient(r: NDArray[np.float64], v: NDArray[np.float64],
@@ -248,8 +251,8 @@ def gradient(camera: SensorSet, observer: SensorSet,
     """
     _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
-    v = observer.basis
-    values = _gradient(_projected_observer(_filtered_basis(camera, f), v), v, f)
+    w, v = _filtered_basis(camera, f), observer.basis
+    values = _gradient(_projected_observer(w, v), v, f)
     if not np.all(np.isfinite(values)):
         raise ValueError("gradient entries must be finite")
     return values
@@ -260,9 +263,8 @@ def gradient_in_basis(camera: SensorSet, observer: SensorSet,
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
     _require_same_grid(camera.grid, observer.grid, basis.grid)
     f = _basis_filter(basis, coeffs)
-    v = observer.basis
-    return basis.basis.T @ _gradient(_projected_observer(_filtered_basis(camera, f), v),
-                                     v, f)
+    w, v = _filtered_basis(camera, f), observer.basis
+    return basis.basis.T @ _gradient(_projected_observer(w, v), v, f)
 
 
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -326,67 +328,56 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 
 
-def _central_differences(fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-                         filt: FilterSpectrum | NDArray[np.float64],
-                         h: float) -> NDArray[np.float64]:
-    """Central differences of ``fn`` at a filter point: column ``i`` of the
-    result is ``(fn(f + h e_i) - fn(f - h e_i)) / 2h``, on the last axis.
+def fd_gradient(objective: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+                filt: FilterSpectrum | NDArray[np.float64],
+                h: float = FD_STEP) -> NDArray[np.float64]:
+    """Central-difference gradient of ``objective`` at a filter point.
 
-    The coordinates are taken in consecutive blocks of at most
-    ``FD_BLOCK_PAIRS``; for a block of ``m`` coordinates ``fn`` is called
-    once, on the (2m, n) stack of probes ``f + h e_i`` (rows 0..m-1) and
-    ``f - h e_i`` (rows m..2m-1), so an n <= ``FD_BLOCK_PAIRS`` point takes
-    one call."""
+    Entry ``(..., i)`` of the result is
+    ``(objective(f + h e_i) - objective(f - h e_i)) / 2h``, where
+    ``objective`` maps an (m, n) stack of filters to their m values (or to m
+    rows of any shape, as :func:`fd_hessian` uses it). With the public
+    :func:`~vorafilter.vora.filtered_vora_value`, which takes such stacks,
+    that is ``lambda p: filtered_vora_value(camera, observer, p)``; a
+    per-filter objective ``obj`` fits as
+    ``lambda p: np.array([obj(row) for row in p])``. The coordinates are
+    taken in consecutive blocks of ``max(1, FD_BLOCK_BYTES // 16n)`` pairs,
+    one block for n <= 128: for a block of ``m`` coordinates ``objective``
+    is called once, on the (2m, n) stack of the probes ``f + h e_i`` (rows
+    0..m-1) and ``f - h e_i`` (rows m..2m-1). Before ``objective`` is
+    called, a point that is not finite or an ``h`` that is not positive and
+    finite raises ``ValueError``, a point that is not strictly positive
+    :class:`~vorafilter.errors.NonPositiveFilter`, and one with
+    ``min(f) <= h`` :class:`~vorafilter.errors.StepTooLarge`.
+
+    Independent of every closed form in this module; used to verify them.
+    """
     if not 0.0 < h < np.inf:
         raise ValueError("h must be positive and finite")
     f = _filter_values(filt)
     if float(f.min()) - h <= 0.0:
         raise StepTooLarge(f"step {h:g} leaves the positive region at min(f)={f.min():g}")
     n = f.size
+    block = max(1, FD_BLOCK_BYTES // (16 * n))
     columns = []
-    for start in range(0, n, FD_BLOCK_PAIRS):
-        step = h * np.eye(min(FD_BLOCK_PAIRS, n - start), n, start)
+    for start in range(0, n, block):
+        step = h * np.eye(min(block, n - start), n, start)
         m = len(step)
-        out = np.asarray(fn(np.concatenate([f + step, f - step])))
+        out = np.asarray(objective(np.concatenate([f + step, f - step])))
         if out.shape[:1] != (2 * m,):
-            raise ValueError(f"fn must map the ({2 * m}, {n}) probe stack to {2 * m} "
-                             f"rows, got shape {out.shape}")
+            raise ValueError(f"objective must map the ({2 * m}, {n}) probe stack to "
+                             f"{2 * m} rows, got shape {out.shape}")
         columns.append((out[:m] - out[m:]) / (2.0 * h))
     return np.moveaxis(np.concatenate(columns), 0, -1)
 
 
-def fd_gradient(objective: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-                filt: FilterSpectrum | NDArray[np.float64],
-                h: float = FD_GRADIENT_STEP) -> NDArray[np.float64]:
-    """Central-difference gradient of a scalar objective at a filter point.
-
-    ``objective`` maps an (m, n) stack of filters to their m values, and is
-    called on the 2n probes ``f +- h e_i``, at most ``2 * FD_BLOCK_PAIRS``
-    of them per call (one call for n <= ``FD_BLOCK_PAIRS``). With the public
-    :func:`~vorafilter.vora.filtered_vora_value`, which takes such stacks,
-    that is ``lambda p: filtered_vora_value(camera, observer, p)``; a
-    per-filter objective ``obj`` fits as
-    ``lambda p: np.array([obj(row) for row in p])``. Before
-    ``objective`` is called, a point that is not finite or an ``h`` that is
-    not positive and finite raises ``ValueError``, and a point that is not
-    strictly positive raises :class:`~vorafilter.errors.NonPositiveFilter`.
-
-    Independent of every closed form in this module; used to verify them.
-    """
-    return _central_differences(objective, filt, h)
-
-
 def fd_hessian(gradient_fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                filt: FilterSpectrum | NDArray[np.float64],
-               h: float = FD_HESSIAN_STEP) -> NDArray[np.float64]:
-    """Central-difference Jacobian of a gradient function at a filter point.
-
-    ``gradient_fn`` maps an (m, n) stack of filters to their (m, n)
-    gradients, and is called on the 2n probes ``f +- h e_i`` in blocks as
-    :func:`fd_gradient` calls its objective; entry
-    ``(j, i)`` of the result is the difference of gradient entry ``j`` along
-    ``e_i``. The stacked public :func:`gradient` fits as
-    ``lambda p: gradient(camera, observer, p)``. The point and ``h`` are
-    checked as in :func:`fd_gradient`.
+               h: float = FD_STEP) -> NDArray[np.float64]:
+    """:func:`fd_gradient` of a gradient function: the central-difference
+    Jacobian, whose entry ``(j, i)`` is the difference of gradient entry
+    ``j`` along ``e_i``. ``gradient_fn`` maps an (m, n) stack of filters to
+    their (m, n) gradients; the stacked public :func:`gradient` fits as
+    ``lambda p: gradient(camera, observer, p)``.
     """
-    return _central_differences(gradient_fn, filt, h)
+    return fd_gradient(gradient_fn, filt, h)

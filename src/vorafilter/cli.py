@@ -180,7 +180,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     filtered = None
     if args.filter:
         filt = _load_filter(args.filter, grid)
-        filtered = filtered_vora_value(camera, observer, filt)
+        try:
+            filtered = filtered_vora_value(camera, observer, filt)
+        except VoraFilterError as exc:
+            raise VoraFilterError(f"{args.filter}: {exc}") from exc
         payload["filtered_vora_value"] = filtered.raw
     print(f"grid: {grid.start_nm:g}:{grid.step_nm:g}:{grid.count} "
           f"({grid.start_nm:g}-{grid.end_nm:g} nm)")

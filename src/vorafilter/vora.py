@@ -26,7 +26,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .projectors import orthonormal_columns
-from .spectral import FilterSpectrum, SensorSet, _filter_values, _require_same_grid
+from .spectral import (FilterSpectrum, SensorSet, _filter_values, _filtered_camera,
+                       _require_same_grid)
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
 # not round-off.
@@ -85,7 +86,7 @@ def filtered_vora_value(camera: SensorSet, observer: SensorSet,
     """
     _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
-    w = orthonormal_columns(f[..., :, None] * camera.responses)
+    w = orthonormal_columns(_filtered_camera(camera, f))
     raw = _vora_of_bases(w, observer.basis)
     if isinstance(filt, FilterSpectrum):
         return VoraValue(raw)

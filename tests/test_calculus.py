@@ -20,6 +20,7 @@ from vorafilter import (
     RankDeficient,
     SensorSet,
     StepTooLarge,
+    VoraFilterError,
     fd_gradient,
     fd_hessian,
     filtered_vora_value,
@@ -34,8 +35,8 @@ from vorafilter import (
     optimize,
     resample_to_grid,
 )
-from vorafilter.calculus import (FD_BLOCK_PAIRS, _filtered_basis, _hessian_factors,
-                                 _projected_observer)
+from vorafilter.calculus import (FD_BLOCK_BYTES, FD_STEP, _filtered_basis,
+                                 _hessian_factors, _projected_observer)
 from vorafilter.optimize import _RunState
 from vorafilter.projectors import orthonormal_columns
 
@@ -525,9 +526,9 @@ class TestStackedEvaluation:
         g_fd = fd_gradient(lambda p: filtered_vora_value(camera, observer, p), f)
         h_fd = fd_hessian(lambda p: gradient(camera, observer, p), f)
         assert np.array_equal(g_fd, one_probe_at_a_time(
-            lambda v: filtered_vora_value(camera, observer, probe(v)).raw, f, 1e-6))
+            lambda v: filtered_vora_value(camera, observer, probe(v)).raw, f, FD_STEP))
         assert np.array_equal(h_fd, one_probe_at_a_time(
-            lambda v: gradient(camera, observer, probe(v)), f, 1e-5))
+            lambda v: gradient(camera, observer, probe(v)), f, FD_STEP))
 
     def test_oracle_calls_fn_once_per_probe_block(self, cie_table, n):
         _, _, _, f = fine_grid_instance(cie_table, n, floor=False)
@@ -539,11 +540,15 @@ class TestStackedEvaluation:
             return probes.sum(axis=1)
 
         fd_gradient(fn, f, h=h)
-        assert len(calls) == -(-n // FD_BLOCK_PAIRS)
+        # As many pairs per call as FD_BLOCK_BYTES holds: all of them up to
+        # n = 128, 54 at n = 301.
+        block = FD_BLOCK_BYTES // (16 * n)
+        assert len(calls) == -(-n // block)
         start = 0
         for probes in calls:
             m = len(probes) // 2
-            assert probes.shape == (2 * m, n) and 1 <= m <= FD_BLOCK_PAIRS
+            assert probes.shape == (2 * m, n) and 1 <= m <= block
+            assert probes.nbytes <= FD_BLOCK_BYTES
             for j, i in enumerate(range(start, start + m)):
                 fp, fm = f.copy(), f.copy()
                 fp[i] += h
@@ -552,6 +557,19 @@ class TestStackedEvaluation:
                 assert np.array_equal(probes[m + j], fm)
             start += m
         assert start == n
+
+
+@pytest.mark.parametrize("n", [31, 61, 301])
+def test_default_gradient_oracle_is_accurate(cie_table, n):
+    # At the default step the error is truncation-sized, under 1e-9 at
+    # n <= 61 and 1e-8 at n = 301; a step of 1e-6 reads 5-9e-8 at n = 301.
+    grid, _, observer, _ = fine_grid_instance(cie_table, n, floor=False)
+    rng = np.random.default_rng(n)
+    for camera in [gaussian_camera(grid)] + [make_random_camera(seed, grid)
+                                             for seed in (1001, 1003, 1007)]:
+        filt = FilterSpectrum(grid=grid, transmittance=rng.uniform(0.2, 1.0, n))
+        g_fd = fd_gradient(objective_fn(camera, observer), filt)
+        assert rel_err(g_fd, gradient(camera, observer, filt)) <= 2e-8
 
 
 # Every public call that takes a filter ``f``, as a function of it.
@@ -599,3 +617,26 @@ class TestFilterIntake:
         with pytest.raises(error) as raised:
             FILTER_CALLS[name](camera, observer, stack)
         assert type(raised.value) is error
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_filter_overflowing_the_camera_raises(self, observer):
+        # The CIE table as a camera: z-bar peaks near 1.78 at 450 nm, so a
+        # transmittance of 1.7e308 there overflows diag(f) Q.
+        camera = observer
+        trans = np.ones(N)
+        trans[5] = 1.7e308
+        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=trans, tau_max=np.inf)
+        stack = np.vstack([np.ones(N), trans])
+        basis = make_basis("cosine", 4, DEFAULT_GRID)
+        coeffs = np.array([1.7e308, 0.0, 0.0, 0.0])
+        calls = [lambda: filtered_vora_value(camera, observer, filt),
+                 lambda: filtered_vora_value(camera, observer, stack),
+                 lambda: gradient(camera, observer, filt),
+                 lambda: gradient(camera, observer, stack),
+                 lambda: hessian(camera, observer, filt),
+                 lambda: newton_step(camera, observer, filt, 1e-4),
+                 lambda: gradient_in_basis(camera, observer, basis, coeffs),
+                 lambda: hessian_in_basis(camera, observer, basis, coeffs)]
+        for call in calls:
+            with pytest.raises(VoraFilterError, match="diag\\(f\\) Q is not finite"):
+                call()

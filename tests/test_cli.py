@@ -158,6 +158,23 @@ class TestEvaluate:
         assert (code, captured.out) == (2, "")
         assert "strictly positive" in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_filter_overflowing_the_camera_exits_2_naming_path(self, capsys, tmp_path,
+                                                               cie_path):
+        # With the CIE table as the camera, 1.7e308 at 450 nm, where z-bar
+        # peaks near 1.78, overflows the filtered camera.
+        trans = np.ones(DEFAULT_GRID.count)
+        trans[5] = 1.7e308
+        fpath = tmp_path / "huge.csv"
+        fpath.write_text(format_spectral_csv(DEFAULT_GRID.wavelengths, trans,
+                                             ("transmittance",)), encoding="utf-8")
+        code = main(["evaluate", "--filter", str(fpath), "--camera", str(cie_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            f"error: {fpath}: the filtered camera diag(f) Q is not finite: "
+            "the filter overflows it"]
+
 
 class TestOptimize:
     def test_colorimetric_camera_trace(self, capsys, tmp_path, colorimetric_path,

@@ -4,11 +4,11 @@ At n = 2001 one n x n float64 array is 32 MB, so a peak under 4 MB shows
 that none is formed: the gradient, the Newton solve and the optimizer work
 from n x 3 and n x 9 factors only.
 
-The finite-difference oracles call their function on blocks of at most
-``FD_BLOCK_PAIRS`` probe pairs. At n = 1201 the whole (2n, n) probe stack,
-evaluated at once, peaks above 200 MB; in blocks the work stays under
-32 MB, beside the n x n result of ``fd_hessian`` (11.5 MB, held twice while
-its blocks are joined).
+The finite-difference oracles call their function on blocks of probes of at
+most ``FD_BLOCK_BYTES`` (256 KiB, 13 pairs at n = 1201). At n = 1201 the
+whole (2n, n) probe stack, evaluated at once, peaks above 200 MB; in blocks
+the work stays under 32 MB, beside the n x n result of ``fd_hessian``
+(11.5 MB, held twice while its blocks are joined).
 """
 
 from __future__ import annotations
