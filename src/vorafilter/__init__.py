@@ -29,7 +29,6 @@ from .errors import (
     NoAscent,
     NonPositiveFilter,
     RankDeficient,
-    ShapeMismatch,
     SingularSystem,
     StepTooLarge,
     UnsortedWavelength,
@@ -75,7 +74,6 @@ __all__ = [
     "OptimizerConfig",
     "RankDeficient",
     "SensorSet",
-    "ShapeMismatch",
     "SingularSystem",
     "SpectralTable",
     "StepTooLarge",

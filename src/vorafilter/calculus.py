@@ -13,9 +13,9 @@ Writing ``A = P{X}``, ``B = P{FQ}`` and ``C = F^-1``, the closed forms are
 
 with ``o`` the elementwise product. Both projectors have rank 3: ``B = W W^T``
 with ``W`` the QR basis of ``F Q`` and ``A = V V^T`` with ``V`` the observer's
-``SensorSet.basis``, built once with the set. Both are rank-checked, and
-each call factors only ``F Q``, so a filter that leaves it rank deficient
-raises ``RankDeficient`` in every consumer, the optimizer included. With
+``SensorSet.basis``, built once with the set. Each call factors only
+``F Q``, by :func:`vorafilter.vora._filtered_basis`, whose QR raises for a
+filter that leaves it rank deficient or overflows it, in every consumer. With
 ``M = W^T V`` (3 x 3), ``R = W M`` and ``Z = V - 2R`` (so that
 ``(I - 2B) A (I - 2B) = Z Z^T``), row ``i`` of each gives
 
@@ -32,10 +32,11 @@ Sherman-Morrison-Woodbury with a 9 x 9 capacitance matrix, and each product
 with the operator in the optimizer's trust-region solve O(9 n). The public
 :func:`hessian` is ``diag(d) + U U^T`` formed densely, symmetric by
 construction; apart from it, an n x n matrix is formed only by the dense
-fallback taken when a Woodbury solve's residual is not small. The Hadamard
-form above is the test suite's oracle for these factors. Every derivative
-here, analytic or central difference, is returned as a plain, freshly
-allocated ndarray.
+fallback taken when a Woodbury solve's residual is not small. A filter entry
+whose square underflows can leave ``d`` non-finite: the public Hessian and
+Newton calls then raise ``ValueError``. The Hadamard form above is the test
+suite's oracle for these factors. Every derivative here, analytic or central
+difference, is returned as a plain, freshly allocated ndarray.
 
 The central-difference oracle :func:`fd_gradient`, with :func:`fd_hessian`
 its name for differencing a gradient, is provided so every closed form can be
@@ -45,8 +46,8 @@ probes ``f +- h e_i``, ``FD_BLOCK_BYTES`` of them at most per call;
 :func:`gradient` and :func:`~vorafilter.vora.filtered_vora_value` take such
 stacks, checked once and factored in one stacked QR, and return each row's
 per-filter result bit for bit. The optimizer (:mod:`vorafilter.optimize`)
-builds its models from the basis, gradient and Hessian factors here, on the
-one basis ``W`` it values each filter with, and has no closed form of its own.
+builds its models from the gradient and Hessian factors here, on the one
+basis ``W`` it values each filter with, and has no closed form of its own.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from numpy.typing import NDArray
 from .errors import BadBasisSpec, RankDeficient, SingularSystem, StepTooLarge
 from .projectors import orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
-                       _filtered_camera, _is_integer, _require_same_grid,
-                       _single_filter_values)
+                       _is_integer, _require_same_grid, _single_filter_values)
+from .vora import _filtered_basis
 
 # A Woodbury Newton solve whose normwise backward error exceeds this, or is
 # not finite, is redone densely. Measured errors are ~1e-15.
@@ -216,20 +217,27 @@ def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
     return np.linalg.solve(_dense_operator(d, u), rhs)
 
 
-def _filtered_basis(camera: SensorSet, f: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The rank-checked basis ``W`` of ``diag(f) Q``; filters ``(..., n)``
-    give the stack of bases. A filter can leave ``diag(f) Q`` numerically
-    rank deficient (near-zero transmittance on all but two rows, say), and
-    one near the float maximum can overflow it."""
-    return orthonormal_columns(_filtered_camera(camera, f))
-
-
 def _gradient(r: NDArray[np.float64], v: NDArray[np.float64],
               f: NDArray[np.float64]) -> NDArray[np.float64]:
     """The gradient from :func:`_projected_observer` ``R`` of the bases of
     ``diag(f) Q`` and of the observer, and the observer's basis ``V``, in
     O(n); stacks ``(..., n, 3)`` and ``(..., n)`` too."""
     return (2.0 / 3.0) * np.einsum("...ij,...ij->...i", r, v - r) / f
+
+
+def _checked_factors(camera: SensorSet, observer: SensorSet, f: NDArray[np.float64],
+                     alpha: float) -> tuple[NDArray[np.float64], ...]:
+    """``R`` and the factors ``(d, U)`` of ``H + alpha I`` at a checked
+    filter, for the public calls. An entry below about 1e-160 underflows its
+    square and can leave ``d`` at 0/0: that raises ``ValueError``, with no
+    floating-point warning. The optimizer builds its factors unchecked."""
+    w, v = _filtered_basis(camera, f), observer.basis
+    r = _projected_observer(w, v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d, u = _hessian_factors(w, v, r, f, alpha)
+    if not (np.isfinite(d).all() and np.isfinite(u).all()):
+        raise ValueError("hessian entries must be finite")
+    return r, d, u
 
 
 def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -283,9 +291,7 @@ def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise ValueError("alpha must be finite and nonnegative")
     _require_same_grid(camera.grid, observer.grid)
     f = _single_filter_values(filt, camera.grid)
-    w, v = _filtered_basis(camera, f), observer.basis
-    r = _projected_observer(w, v)
-    matrix = _dense_operator(*_hessian_factors(w, v, r, f, alpha))
+    matrix = _dense_operator(*_checked_factors(camera, observer, f, alpha)[1:])
     if not np.all(np.isfinite(matrix)):
         raise ValueError("hessian entries must be finite")
     return matrix
@@ -299,9 +305,7 @@ def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
         raise ValueError("alpha must be finite and nonnegative")
     _require_same_grid(camera.grid, observer.grid, basis.grid)
     f = _basis_filter(basis, coeffs)
-    w, v = _filtered_basis(camera, f), observer.basis
-    return _basis_hessian(*_hessian_factors(w, v, _projected_observer(w, v), f, alpha),
-                          basis.basis)
+    return _basis_hessian(*_checked_factors(camera, observer, f, alpha)[1:], basis.basis)
 
 
 def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
@@ -313,17 +317,16 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
     matrix or inverse is formed unless the residual check sends the solve to
     its dense fallback. ``alpha`` must be positive: without regularization
     the step degenerates to the current filter. Raises
-    :class:`SingularSystem` when the system is singular.
+    :class:`SingularSystem` when the system is singular, and ``ValueError``
+    when it is not finite.
     """
     if not 0.0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite for a Newton step")
     _require_same_grid(camera.grid, observer.grid)
     f = _single_filter_values(filt, camera.grid)
-    w, v = _filtered_basis(camera, f), observer.basis
-    r = _projected_observer(w, v)
-    d, u = _hessian_factors(w, v, r, f, alpha)
+    r, d, u = _checked_factors(camera, observer, f, alpha)
     try:
-        return _woodbury_solve(d, u, -(_gradient(r, v, f) + alpha * f))
+        return _woodbury_solve(d, u, -(_gradient(r, observer.basis, f) + alpha * f))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"Newton system is singular (alpha={alpha:g})") from exc
 

@@ -40,10 +40,6 @@ class NonPositiveFilter(VoraFilterError):
     """A filter transmittance vector has an entry that is not strictly positive."""
 
 
-class ShapeMismatch(VoraFilterError):
-    """Array arguments do not conform in shape."""
-
-
 class StepTooLarge(VoraFilterError):
     """A finite-difference perturbation would leave the positive region."""
 

@@ -77,15 +77,15 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .calculus import (BasisSet, _basis_hessian, _capacitance, _filtered_basis,
-                       _gradient, _hessian_diagonal, _hessian_factors,
-                       _projected_observer, _woodbury)
+from .calculus import (BasisSet, _basis_hessian, _capacitance, _gradient,
+                       _hessian_diagonal, _hessian_factors, _projected_observer,
+                       _woodbury)
 from .errors import NoAscent, NonPositiveFilter
 # Not called here: bench/run.py traces QR calls through this module's name.
 from .projectors import orthonormal_columns  # noqa: F401
 from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
                        _is_integer, _require_same_grid, _single_filter_values)
-from .vora import _vora_of_bases
+from .vora import _filtered_basis, _vora_of_bases
 
 _METHODS = ("grad", "newton")
 _INITS = ("ones", "random")

@@ -6,11 +6,12 @@ evaluation here. They are always built from an orthonormal factorization
 the two agree algebraically, but the factorized route stays accurate when the
 generating matrix is badly conditioned, e.g. a camera seen through a filter
 that is nearly opaque at some wavelengths. :func:`orthonormal_columns` is the
-package's only QR and the only place a rank is decided: sensor sets, filter
-bases and every filtered camera are rank-checked by it, from the ``R`` of
-the QR they need anyway. A cheap lower bound on ``R``'s condition, from its
-diagonal and Frobenius norm, clears the well-conditioned matrices; only the
-ones it cannot clear pay for an SVD of ``R``. A ``SensorSet`` is factored
+package's only QR and the only place that decides a matrix has no usable
+basis: sensor sets, filter bases and every filtered camera are checked by
+it, from the ``R`` of the QR they need anyway. A cheap lower bound on
+``R``'s condition, from its diagonal and Frobenius norm, clears the
+well-conditioned matrices; only the ones it cannot clear pay for an SVD of
+``R``, or raise when that ``R`` overflowed. A ``SensorSet`` is factored
 once, when built.
 """
 
@@ -21,7 +22,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import RankDeficient, ShapeMismatch
+from .errors import RankDeficient, VoraFilterError
 
 _FLOAT = np.finfo(np.float64)
 
@@ -65,35 +66,38 @@ def _needs_svd(r: NDArray[np.float64], tol: float) -> bool | NDArray[np.bool_]:
 
 
 def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Orthonormal basis of the column space of a full-column-rank matrix.
+    """Orthonormal basis of the column space of a tall, full-rank matrix.
 
     Uses a Householder QR factorization, which meets the re-orthogonalized
     Gram-Schmidt accuracy contract (``basis^T basis = I`` to machine
     precision) and is deterministic for a fixed input. A stack
     ``(..., n, k)`` gives the stack of bases, each bit for bit the basis of
     its member; one rank-deficient member raises :class:`RankDeficient` for
-    the whole stack. Sensor responses, filter bases, filtered cameras and the
-    optimizer's trial filters all take this one path. The rank is read from
-    the k x k ``R``: a bound on its condition from its diagonal and Frobenius
-    norm clears well-conditioned members, and an SVD of ``R`` decides the rest.
+    the whole stack, one whose ``R`` overflowed :class:`VoraFilterError`.
+    Sensor responses, filter bases, filtered cameras and the optimizer's
+    trial filters all take this one path. The rank is read from the k x k
+    ``R``: a bound on its condition from its diagonal and Frobenius norm
+    clears well-conditioned members, and an SVD of ``R`` decides the rest.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim < 2 or m.shape[-2] < m.shape[-1]:
-        raise ShapeMismatch(f"expected a tall n x k matrix, got {m.shape}")
     q, r = np.linalg.qr(m)
     # The k x k R has the singular values of the n x k input, so the rank
     # check costs no SVD of the input itself. Each member is held to its own
-    # threshold ``sigma_1 * n * eps * 1e3``; the 1e3 margin keeps measured
-    # (noisy) sensor data from being declared full rank on the strength of
-    # pure round-off.
-    size = max(m.shape[-2:])
+    # threshold ``sigma_1 * tol``; the 1e3 margin keeps measured (noisy)
+    # sensor data from being declared full rank on the strength of pure
+    # round-off.
+    tol = max(m.shape[-2:]) * _FLOAT.eps * 1e3
     # One matrix indexed by a bool is a stack of one or of none.
-    doubtful = r[_needs_svd(r, size * _FLOAT.eps * 1e3)]
+    doubtful = r[_needs_svd(r, tol)]
     if len(doubtful):
+        # The bound never clears a non-finite R.
+        if not np.isfinite(doubtful).all():
+            raise VoraFilterError(f"matrix of shape {m.shape} overflows: "
+                                  "its QR is not finite")
         # The singular values come sorted, so each member is tested on its
-        # smallest alone (NaN fails).
+        # smallest alone.
         s = np.linalg.svd(doubtful, compute_uv=False)
-        if not (s[:, -1] > s[:, 0] * size * _FLOAT.eps * 1e3).all():
+        if not (s[:, -1] > s[:, 0] * tol).all():
             raise RankDeficient(
                 f"matrix of shape {m.shape} has numerical rank < {m.shape[-1]}"
             )

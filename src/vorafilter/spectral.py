@@ -4,7 +4,8 @@ All downstream math operates on a shared :class:`WavelengthGrid`. Input
 tables may come at any (sorted, duplicate-free) wavelength spacing; they are
 linearly interpolated onto the grid at load time. Wavelengths outside the
 grid are discarded, never extrapolated. Containers are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads. A filter argument is
+checked here; :mod:`vorafilter.vora` turns it into the filtered camera's basis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     NonPositiveFilter,
     RankDeficient,
     UnsortedWavelength,
-    VoraFilterError,
 )
 from .projectors import orthonormal_columns
 
@@ -191,18 +191,6 @@ def _single_filter_values(filt: FilterSpectrum, grid: WavelengthGrid) -> NDArray
         raise TypeError(f"expected a FilterSpectrum, got {type(filt).__name__}; "
                         "only filtered_vora_value and gradient take an array stack")
     return _filter_values(filt, grid)
-
-
-def _filtered_camera(camera: SensorSet, f: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``diag(f) Q`` for a checked filter ``f``, or the stack of them for
-    filters ``(..., n)``. A transmittance near the float maximum can
-    overflow it, which raises :class:`VoraFilterError`."""
-    with np.errstate(over="ignore"):
-        product = f[..., :, None] * camera.responses
-    if not np.isfinite(product).all():
-        raise VoraFilterError("the filtered camera diag(f) Q is not finite: "
-                              "the filter overflows it")
-    return product
 
 
 class SpectralTable(NamedTuple):

@@ -15,7 +15,9 @@ ill-conditioned sensor matrices.
 
 A filter argument is checked where it enters, by the one intake in
 :mod:`vorafilter.spectral`: :func:`filtered_vora_value` takes a
-``FilterSpectrum`` or an (m, n) stack of filters.
+``FilterSpectrum`` or an (m, n) stack of filters. Only :func:`_filtered_basis`
+turns it into the basis of ``diag(f) Q``, for the value, every derivative and
+the optimizer; its QR alone decides that the product has no usable basis.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .projectors import orthonormal_columns
-from .spectral import (FilterSpectrum, SensorSet, _filter_values, _filtered_camera,
-                       _require_same_grid)
+from .spectral import FilterSpectrum, SensorSet, _filter_values, _require_same_grid
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
 # not round-off.
@@ -54,6 +55,14 @@ class VoraValue:
 
     def __float__(self) -> float:
         return self.raw
+
+
+def _filtered_basis(camera: SensorSet, f: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The basis ``W`` of ``diag(f) Q`` for a checked filter ``f``, or the
+    stack of them for filters ``(..., n)``. A product that is rank deficient
+    or overflows, in itself or in its QR, raises from the QR."""
+    with np.errstate(over="ignore"):
+        return orthonormal_columns(f[..., :, None] * camera.responses)
 
 
 def _vora_of_bases(w: NDArray[np.float64],
@@ -86,8 +95,7 @@ def filtered_vora_value(camera: SensorSet, observer: SensorSet,
     """
     _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
-    w = orthonormal_columns(_filtered_camera(camera, f))
-    raw = _vora_of_bases(w, observer.basis)
+    raw = _vora_of_bases(_filtered_basis(camera, f), observer.basis)
     if isinstance(filt, FilterSpectrum):
         return VoraValue(raw)
     if not np.all((-RANGE_TOL <= raw) & (raw <= 1.0 + RANGE_TOL)):

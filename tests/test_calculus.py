@@ -35,10 +35,11 @@ from vorafilter import (
     optimize,
     resample_to_grid,
 )
-from vorafilter.calculus import (FD_BLOCK_BYTES, FD_STEP, _filtered_basis,
-                                 _hessian_factors, _projected_observer)
+from vorafilter.calculus import (FD_BLOCK_BYTES, FD_STEP, _hessian_factors,
+                                 _projected_observer)
 from vorafilter.optimize import _RunState
 from vorafilter.projectors import orthonormal_columns
+from vorafilter.vora import _filtered_basis
 
 N = DEFAULT_GRID.count
 
@@ -618,13 +619,10 @@ class TestFilterIntake:
             FILTER_CALLS[name](camera, observer, stack)
         assert type(raised.value) is error
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_filter_overflowing_the_camera_raises(self, observer):
-        # The CIE table as a camera: z-bar peaks near 1.78 at 450 nm, so a
-        # transmittance of 1.7e308 there overflows diag(f) Q.
-        camera = observer
-        trans = np.ones(N)
-        trans[5] = 1.7e308
+    @staticmethod
+    def assert_each_call_overflows(camera, observer, trans):
+        """The six public calls that take a filter, and the two stack calls
+        given a stack, raise the QR's typed error for ``trans``."""
         filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=trans, tau_max=np.inf)
         stack = np.vstack([np.ones(N), trans])
         basis = make_basis("cosine", 4, DEFAULT_GRID)
@@ -638,5 +636,48 @@ class TestFilterIntake:
                  lambda: gradient_in_basis(camera, observer, basis, coeffs),
                  lambda: hessian_in_basis(camera, observer, basis, coeffs)]
         for call in calls:
-            with pytest.raises(VoraFilterError, match="diag\\(f\\) Q is not finite"):
+            with pytest.raises(VoraFilterError, match="overflows: its QR is not finite"):
                 call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_filter_overflowing_the_camera_raises(self, observer):
+        # The CIE table as a camera: z-bar peaks near 1.78 at 450 nm, so a
+        # transmittance of 1.7e308 there overflows diag(f) Q.
+        trans = np.ones(N)
+        trans[5] = 1.7e308
+        self.assert_each_call_overflows(observer, observer, trans)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_filter_overflowing_the_qr_raises(self, camera, observer):
+        # 1.7e308 at every sample through a camera that peaks at 1: diag(f) Q
+        # is finite, and its QR's column norms overflow.
+        self.assert_each_call_overflows(camera, observer, np.full(N, 1.7e308))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-170, 1e-200])
+    def test_filter_entry_whose_square_underflows(self, camera, observer, tiny):
+        # Below about 1e-160, f_i^2 underflows and d_i = alpha - (2/3)
+        # |r_i|^2 / f_i^2 is 0/0: each derivative is finite or a ValueError,
+        # with no floating-point warning.
+        trans = np.ones(N)
+        trans[7] = tiny
+        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=trans, tau_min=1e-300)
+        unit = BasisSet(DEFAULT_GRID, np.eye(N))
+        calls = {"filtered_vora_value": lambda: filtered_vora_value(camera, observer, filt).raw,
+                 "gradient": lambda: gradient(camera, observer, filt),
+                 "gradient of a stack": lambda: gradient(camera, observer, trans[None]),
+                 "gradient_in_basis": lambda: gradient_in_basis(camera, observer, unit, trans),
+                 "hessian": lambda: hessian(camera, observer, filt),
+                 "newton_step": lambda: newton_step(camera, observer, filt, 1e-4),
+                 "hessian_in_basis": lambda: hessian_in_basis(camera, observer, unit,
+                                                              trans, 1e-4)}
+        raised = set()
+        for name, call in calls.items():
+            try:
+                assert np.all(np.isfinite(call())), name
+            except ValueError as exc:
+                assert "hessian entries must be finite" in str(exc), name
+                raised.add(name)
+        underflows = tiny * tiny == 0.0
+        assert raised == ({"hessian", "newton_step", "hessian_in_basis"} if underflows
+                          else set())

@@ -158,6 +158,17 @@ class TestEvaluate:
         assert (code, captured.out) == (2, "")
         assert "strictly positive" in captured.err
 
+    @staticmethod
+    def evaluate_overflow(capsys, fpath, trans, camera_args):
+        """Exit code and stderr lines of ``evaluate`` with ``trans`` as a
+        filter file at ``fpath``."""
+        fpath.write_text(format_spectral_csv(DEFAULT_GRID.wavelengths, trans,
+                                             ("transmittance",)), encoding="utf-8")
+        code = main(["evaluate", "--filter", str(fpath)] + camera_args)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err.splitlines()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_filter_overflowing_the_camera_exits_2_naming_path(self, capsys, tmp_path,
                                                                cie_path):
@@ -166,14 +177,17 @@ class TestEvaluate:
         trans = np.ones(DEFAULT_GRID.count)
         trans[5] = 1.7e308
         fpath = tmp_path / "huge.csv"
-        fpath.write_text(format_spectral_csv(DEFAULT_GRID.wavelengths, trans,
-                                             ("transmittance",)), encoding="utf-8")
-        code = main(["evaluate", "--filter", str(fpath), "--camera", str(cie_path)])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err.splitlines() == [
-            f"error: {fpath}: the filtered camera diag(f) Q is not finite: "
-            "the filter overflows it"]
+        assert self.evaluate_overflow(capsys, fpath, trans, ["--camera", str(cie_path)]) == (
+            2, [f"error: {fpath}: matrix of shape (31, 3) overflows: its QR is not finite"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_filter_overflowing_the_qr_exits_2_naming_path(self, capsys, tmp_path):
+        # 1.7e308 at every sample through the bundled camera, which peaks at
+        # 1: the filtered camera is finite and its QR overflows.
+        fpath = tmp_path / "huge_everywhere.csv"
+        trans = np.full(DEFAULT_GRID.count, 1.7e308)
+        assert self.evaluate_overflow(capsys, fpath, trans, []) == (
+            2, [f"error: {fpath}: matrix of shape (31, 3) overflows: its QR is not finite"])
 
 
 class TestOptimize:

@@ -15,6 +15,7 @@ from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
     NoAscent,
+    NonPositiveFilter,
     OptimizerConfig,
     RankDeficient,
     SensorSet,
@@ -30,8 +31,8 @@ from vorafilter import (
     resample_to_grid,
     vora_value,
 )
-from vorafilter.calculus import (_dense_operator, _filtered_basis, _hessian_diagonal,
-                                 _projected_observer)
+from vorafilter.vora import _filtered_basis
+from vorafilter.calculus import _dense_operator, _hessian_diagonal, _projected_observer
 from vorafilter.optimize import (
     _RADIUS_INIT,
     _RADIUS_MAX,
@@ -808,6 +809,54 @@ class TestBasisRandomInit:
         assert filt.min() >= cfg.tau_min
         assert filt.max() <= cfg.tau_max
         assert report.final_vora >= report.initial_vora
+
+
+class TestBasisStartPoint:
+    """A start whose basis fit leaves the box is blended toward the fit of
+    the constant filter, halving the blend until the gauge accepts it."""
+
+    @staticmethod
+    def step_start(tau_min: float) -> FilterSpectrum:
+        """1 below 550 nm and ``tau_min`` above: its fit overshoots the box."""
+        lam = DEFAULT_GRID.wavelengths
+        return FilterSpectrum(grid=DEFAULT_GRID, tau_min=tau_min,
+                              transmittance=np.where(lam < 550.0, 1.0, tau_min))
+
+    @staticmethod
+    def gauge_outcomes(monkeypatch) -> list[bool]:
+        """Whether each coefficient gauge call accepts its trial, in order."""
+        outcomes = []
+        gauge = _RunState._gauge_coeffs
+
+        def recorded(self, coeffs):
+            gauged = gauge(self, coeffs)
+            outcomes.append(gauged is not None)
+            return gauged
+
+        monkeypatch.setattr(_RunState, "_gauge_coeffs", recorded)
+        return outcomes
+
+    @pytest.mark.parametrize("kind, k, tau_min", [("cosine", 8, 0.3),
+                                                  ("gaussian", 12, 0.05),
+                                                  ("gaussian", 12, 0.3)])
+    def test_step_start_needs_one_halving(self, monkeypatch, camera, observer,
+                                          kind, k, tau_min):
+        outcomes = self.gauge_outcomes(monkeypatch)
+        cfg = OptimizerConfig(method="newton", basis=make_basis(kind, k, DEFAULT_GRID),
+                              tau_min=tau_min)
+        report = optimize(camera, observer, cfg, self.step_start(tau_min))
+        assert outcomes[:2] == [False, True]
+        assert report.termination.startswith("converged")
+        assert report.final_filter.transmittance.min() >= tau_min
+
+    def test_no_feasible_blend_raises(self, monkeypatch, camera, observer):
+        # Four wide Gaussians cannot stay within [0.97, 1] anywhere on the
+        # blend toward the constant filter's fit.
+        outcomes = self.gauge_outcomes(monkeypatch)
+        cfg = OptimizerConfig(basis=make_basis("gaussian", 4, DEFAULT_GRID), tau_min=0.97)
+        with pytest.raises(NonPositiveFilter, match="feasible basis start point"):
+            optimize(camera, observer, cfg, self.step_start(0.97))
+        assert outcomes == [False] * 60
 
 
 class TestRandomInstances:

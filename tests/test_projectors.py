@@ -16,7 +16,7 @@ from vorafilter import (
     FilterSpectrum,
     RankDeficient,
     SensorSet,
-    ShapeMismatch,
+    VoraFilterError,
     filtered_vora_value,
     gradient,
     gradient_in_basis,
@@ -69,11 +69,12 @@ class TestOrthonormalize:
             basis = orthonormal_columns(sensors.responses)
             assert np.max(np.abs(basis.T @ basis - np.eye(3))) < 1e-9
 
-    def test_wide_input_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            orthonormal_columns(np.ones((3, 4)))
-        with pytest.raises(ShapeMismatch):
-            orthonormal_columns(np.ones(N))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_responses_overflowing_the_qr_raise(self):
+        # Finite responses whose column norms overflow in the QR.
+        rng = np.random.default_rng(3)
+        with pytest.raises(VoraFilterError, match="overflows: its QR is not finite"):
+            SensorSet(grid=DEFAULT_GRID, responses=1e308 * rng.uniform(0.5, 1.0, (N, 3)))
 
 
 class TestStacks:
@@ -100,15 +101,14 @@ class TestStacks:
 
 
 def svd_rule(matrix: np.ndarray):
-    """The rank test as one SVD of every member's ``R``: ``"full"``,
-    ``"deficient"``, or the error the SVD itself raises (a NaN member)."""
+    """The rank test as one SVD of every member's ``R``: ``"full"`` or
+    ``"deficient"``, and ``"overflow"`` when some ``R`` is not finite."""
     _, r = np.linalg.qr(matrix)
-    try:
-        s = np.linalg.svd(r, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return np.linalg.LinAlgError
-    tol = s[..., 0] * max(matrix.shape[-2:]) * np.finfo(np.float64).eps * 1e3
-    return "full" if np.all(s[..., -1] > tol) else "deficient"
+    if not np.isfinite(r).all():
+        return "overflow"
+    s = np.linalg.svd(r, compute_uv=False)
+    tol = max(matrix.shape[-2:]) * np.finfo(np.float64).eps * 1e3
+    return "full" if np.all(s[..., -1] > s[..., 0] * tol) else "deficient"
 
 
 def rank_outcome(matrix: np.ndarray):
@@ -117,8 +117,8 @@ def rank_outcome(matrix: np.ndarray):
         orthonormal_columns(matrix)
     except RankDeficient:
         return "deficient"
-    except np.linalg.LinAlgError:
-        return np.linalg.LinAlgError
+    except VoraFilterError:
+        return "overflow"
     return "full"
 
 
@@ -165,9 +165,13 @@ class TestRankTest:
         tiny = 1e-200 * spread_member(rng, self.N, [1.0, 0.5, 0.2])
         nan = spread_member(rng, self.N, [1.0, 0.5, 0.2])
         nan[7, 1] = np.nan
+        huge = spread_member(rng, self.N, [1.0, 0.5, 0.2])
+        huge = 1e308 * (huge / np.abs(huge).max())  # finite; its QR overflows
         cleared = spread_member(rng, self.N, [1.0, 0.5, 0.2])
-        extras = {"deficient": deficient, "tiny": tiny, "nan": nan}
+        extras = {"deficient": deficient, "tiny": tiny, "nan": nan, "huge": huge}
         assert rank_outcome(tiny) == "full"
+        # A non-finite member is a typed error, not the SVD's LinAlgError.
+        assert rank_outcome(nan) == rank_outcome(huge) == "overflow"
         for i in range(0, len(members), 8):
             for name, extra in extras.items():
                 for stack in ([members[i], extra, cleared], [extra, members[i]]):
