@@ -32,11 +32,9 @@ Sherman-Morrison-Woodbury with a 9 x 9 capacitance matrix, and each product
 with the operator in the optimizer's trust-region solve O(9 n). The public
 :func:`hessian` is ``diag(d) + U U^T`` formed densely, symmetric by
 construction; apart from it, an n x n matrix is formed only by the dense
-fallback taken when a Woodbury solve's residual is not small. A filter entry
-whose square underflows can leave ``d`` non-finite: the public Hessian and
-Newton calls then raise ``ValueError``. The Hadamard form above is the test
-suite's oracle for these factors. Every derivative here, analytic or central
-difference, is returned as a plain, freshly allocated ndarray.
+fallback taken when a Woodbury solve's residual is not small. The Hadamard
+form above is the test suite's oracle for these factors. Every derivative
+here, analytic or central difference, is a plain, freshly allocated ndarray.
 
 The central-difference oracle :func:`fd_gradient`, with :func:`fd_hessian`
 its name for differencing a gradient, is provided so every closed form can be
@@ -59,7 +57,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BadBasisSpec, RankDeficient, SingularSystem, StepTooLarge
-from .projectors import orthonormal_columns
+from .projectors import _finite_result, orthonormal_columns
 from .spectral import (FilterSpectrum, SensorSet, WavelengthGrid, _filter_values,
                        _is_integer, _require_same_grid, _single_filter_values)
 from .vora import _filtered_basis
@@ -201,19 +199,18 @@ def _woodbury_solve(d: NDArray[np.float64], u: NDArray[np.float64],
     (say ``d`` has a zero), the same operator is solved densely. Raises
     ``LinAlgError`` when that dense system is singular.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        du, capacitance = _capacitance(d, u)
-        try:
-            x = _woodbury(d, u, du, capacitance, rhs)
-        except np.linalg.LinAlgError:
-            x = None
-        if x is not None:
-            resid = np.linalg.norm(d * x + u @ (u.T @ x) - rhs)
-            # max|d| + ||U||_F^2 bounds ||diag(d) + U U^T||_2 from above.
-            op_norm = np.abs(d).max() + np.vdot(u, u)
-            if resid <= WOODBURY_BACKWARD_TOL * (op_norm * np.linalg.norm(x)
-                                                 + np.linalg.norm(rhs)):
-                return x
+    du, capacitance = _capacitance(d, u)
+    try:
+        x = _woodbury(d, u, du, capacitance, rhs)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is not None:
+        resid = np.linalg.norm(d * x + u @ (u.T @ x) - rhs)
+        # max|d| + ||U||_F^2 bounds ||diag(d) + U U^T||_2 from above.
+        op_norm = np.abs(d).max() + np.vdot(u, u)
+        if resid <= WOODBURY_BACKWARD_TOL * (op_norm * np.linalg.norm(x)
+                                             + np.linalg.norm(rhs)):
+            return x
     return np.linalg.solve(_dense_operator(d, u), rhs)
 
 
@@ -225,19 +222,14 @@ def _gradient(r: NDArray[np.float64], v: NDArray[np.float64],
     return (2.0 / 3.0) * np.einsum("...ij,...ij->...i", r, v - r) / f
 
 
-def _checked_factors(camera: SensorSet, observer: SensorSet, f: NDArray[np.float64],
-                     alpha: float) -> tuple[NDArray[np.float64], ...]:
-    """``R`` and the factors ``(d, U)`` of ``H + alpha I`` at a checked
-    filter, for the public calls. An entry below about 1e-160 underflows its
-    square and can leave ``d`` at 0/0: that raises ``ValueError``, with no
-    floating-point warning. The optimizer builds its factors unchecked."""
+def _factors(camera: SensorSet, observer: SensorSet, f: NDArray[np.float64],
+             alpha: float) -> tuple[NDArray[np.float64], ...]:
+    """``R`` and ``(d, U)`` of ``H + alpha I`` at a checked filter, ``alpha >= 0``."""
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     w, v = _filtered_basis(camera, f), observer.basis
     r = _projected_observer(w, v)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d, u = _hessian_factors(w, v, r, f, alpha)
-    if not (np.isfinite(d).all() and np.isfinite(u).all()):
-        raise ValueError("hessian entries must be finite")
-    return r, d, u
+    return (r, *_hessian_factors(w, v, r, f, alpha))
 
 
 def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -248,6 +240,7 @@ def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.fl
     return _filter_values(basis.basis @ c)
 
 
+@_finite_result
 def gradient(camera: SensorSet, observer: SensorSet,
              filt: FilterSpectrum | NDArray[np.float64]) -> NDArray[np.float64]:
     """Analytic gradient of the filtered Vora-Value at ``filt``, an n-vector.
@@ -260,54 +253,43 @@ def gradient(camera: SensorSet, observer: SensorSet,
     _require_same_grid(camera.grid, observer.grid)
     f = _filter_values(filt, camera.grid)
     w, v = _filtered_basis(camera, f), observer.basis
-    values = _gradient(_projected_observer(w, v), v, f)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("gradient entries must be finite")
-    return values
+    return _gradient(_projected_observer(w, v), v, f)
 
 
+@_finite_result
 def gradient_in_basis(camera: SensorSet, observer: SensorSet,
                       basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
     _require_same_grid(camera.grid, observer.grid, basis.grid)
-    f = _basis_filter(basis, coeffs)
-    w, v = _filtered_basis(camera, f), observer.basis
-    return basis.basis.T @ _gradient(_projected_observer(w, v), v, f)
+    return basis.basis.T @ gradient(camera, observer, _basis_filter(basis, coeffs)[None])[0]
 
 
+@_finite_result
 def hessian(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
             alpha: float = 0.0) -> NDArray[np.float64]:
-    """Analytic Hessian of the filtered Vora-Value, plus ``alpha * I``: an
-    n x n array.
+    """Analytic Hessian of the filtered Vora-Value plus ``alpha * I``, n x n.
 
     With ``alpha = 0`` this is the plain second derivative, which the Newton
     optimizer models with; a positive ``alpha`` gives the regularized system
-    that :func:`newton_step` solves. The matrix is ``diag(d) + U U^T`` from
-    the factors that :func:`newton_step`, :func:`hessian_in_basis` and the
-    optimizer use, so it is symmetric by construction. Non-finite entries
-    raise ``ValueError``.
+    that :func:`newton_step` solves. It is ``diag(d) + U U^T`` from the
+    factors every derivative here uses, so it is symmetric by construction.
     """
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError("alpha must be finite and nonnegative")
     _require_same_grid(camera.grid, observer.grid)
     f = _single_filter_values(filt, camera.grid)
-    matrix = _dense_operator(*_checked_factors(camera, observer, f, alpha)[1:])
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("hessian entries must be finite")
-    return matrix
+    return _dense_operator(*_factors(camera, observer, f, alpha)[1:])
 
 
+@_finite_result
 def hessian_in_basis(camera: SensorSet, observer: SensorSet, basis: BasisSet,
                      coeffs: NDArray[np.float64], alpha: float = 0.0) -> NDArray[np.float64]:
     """Hessian w.r.t. basis coefficients: ``B^T (H + alpha I) B``, built
     from the factored operator in O(n k^2) without an n x n matrix."""
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError("alpha must be finite and nonnegative")
     _require_same_grid(camera.grid, observer.grid, basis.grid)
     f = _basis_filter(basis, coeffs)
-    return _basis_hessian(*_checked_factors(camera, observer, f, alpha)[1:], basis.basis)
+    return _basis_hessian(*_factors(camera, observer, f, alpha)[1:], basis.basis)
 
 
+@_finite_result
 def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
                 alpha: float) -> NDArray[np.float64]:
     """The paper's regularized Newton step ``-(H + alpha I)^-1 (g + alpha f)``.
@@ -324,7 +306,9 @@ def newton_step(camera: SensorSet, observer: SensorSet, filt: FilterSpectrum,
         raise ValueError("alpha must be positive and finite for a Newton step")
     _require_same_grid(camera.grid, observer.grid)
     f = _single_filter_values(filt, camera.grid)
-    r, d, u = _checked_factors(camera, observer, f, alpha)
+    r, d, u = _factors(camera, observer, f, alpha)
+    if not (np.isfinite(d).all() and np.isfinite(u).all()):
+        raise ValueError("hessian entries must be finite")
     try:
         return _woodbury_solve(d, u, -(_gradient(r, observer.basis, f) + alpha * f))
     except np.linalg.LinAlgError as exc:

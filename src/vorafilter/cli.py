@@ -293,9 +293,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _rel_err(candidate: np.ndarray, reference: np.ndarray) -> float:
-    scale = float(np.max(np.abs(reference)))
-    if scale == 0.0:
-        return float(np.max(np.abs(candidate - reference)))
+    scale = float(np.max(np.abs(reference))) or 1.0
     return float(np.max(np.abs(candidate - reference)) / scale)
 
 

@@ -81,8 +81,8 @@ from .calculus import (BasisSet, _basis_hessian, _capacitance, _gradient,
                        _hessian_diagonal, _hessian_factors, _projected_observer,
                        _woodbury)
 from .errors import NoAscent, NonPositiveFilter
-# Not called here: bench/run.py traces QR calls through this module's name.
-from .projectors import orthonormal_columns  # noqa: F401
+# bench/run.py traces QR calls through this module's orthonormal_columns.
+from .projectors import _finite_result, orthonormal_columns  # noqa: F401
 from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
                        _is_integer, _require_same_grid, _single_filter_values)
 from .vora import _filtered_basis, _vora_of_bases
@@ -582,6 +582,7 @@ class _RunState:
         return None
 
 
+@_finite_result
 def optimize(camera: SensorSet, observer: SensorSet,
              config: OptimizerConfig | None = None,
              initial_filter: FilterSpectrum | None = None) -> OptimizationReport:

@@ -12,12 +12,14 @@ it, from the ``R`` of the QR they need anyway. A cheap lower bound on
 ``R``'s condition, from its diagonal and Frobenius norm, clears the
 well-conditioned matrices; only the ones it cannot clear pay for an SVD of
 ``R``, or raise when that ``R`` overflowed. A ``SensorSet`` is factored
-once, when built.
+once, when built. :func:`_finite_result` is the package's floating-point rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Callable, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,6 +27,21 @@ from numpy.typing import NDArray
 from .errors import RankDeficient, VoraFilterError
 
 _FLOAT = np.finfo(np.float64)
+_Call = TypeVar("_Call", bound=Callable)
+
+
+def _finite_result(call: _Call) -> _Call:
+    """The public calls' one floating-point rule: no floating-point warning,
+    from an ``np.errstate`` of each call's own (so nested and concurrent calls
+    restore their caller's), and ``ValueError`` for a non-finite array result."""
+    @functools.wraps(call)
+    def checked(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            result = call(*args, **kwargs)
+        if isinstance(result, np.ndarray) and not np.isfinite(result).all():
+            raise ValueError(f"{call.__name__} entries must be finite")
+        return result
+    return checked
 
 
 def _needs_svd(r: NDArray[np.float64], tol: float) -> bool | NDArray[np.bool_]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .projectors import orthonormal_columns
+from .projectors import _finite_result, orthonormal_columns
 from .spectral import FilterSpectrum, SensorSet, _filter_values, _require_same_grid
 
 # Slack for the [0, 1] range check; violations beyond this indicate a bug,
@@ -61,8 +61,7 @@ def _filtered_basis(camera: SensorSet, f: NDArray[np.float64]) -> NDArray[np.flo
     """The basis ``W`` of ``diag(f) Q`` for a checked filter ``f``, or the
     stack of them for filters ``(..., n)``. A product that is rank deficient
     or overflows, in itself or in its QR, raises from the QR."""
-    with np.errstate(over="ignore"):
-        return orthonormal_columns(f[..., :, None] * camera.responses)
+    return orthonormal_columns(f[..., :, None] * camera.responses)
 
 
 def _vora_of_bases(w: NDArray[np.float64],
@@ -79,6 +78,7 @@ def vora_value(camera: SensorSet, observer: SensorSet) -> VoraValue:
     return VoraValue(_vora_of_bases(camera.basis, observer.basis))
 
 
+@_finite_result
 def filtered_vora_value(camera: SensorSet, observer: SensorSet,
                         filt: FilterSpectrum | NDArray[np.float64]
                         ) -> VoraValue | NDArray[np.float64]:

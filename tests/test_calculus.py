@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -676,8 +678,75 @@ class TestFilterIntake:
             try:
                 assert np.all(np.isfinite(call())), name
             except ValueError as exc:
-                assert "hessian entries must be finite" in str(exc), name
+                # The rule names its call; newton_step checks the Hessian's
+                # factors before it solves.
+                want = "hessian_in_basis" if name == "hessian_in_basis" else "hessian"
+                assert str(exc) == f"{want} entries must be finite", name
                 raised.add(name)
         underflows = tiny * tiny == 0.0
         assert raised == ({"hessian", "newton_step", "hessian_in_basis"} if underflows
                           else set())
+
+
+def test_the_callers_floating_point_state_survives(camera, observer):
+    # Each public call computes in an error state of its own and hands the
+    # caller's back, also when it nests another call, raises, or is called
+    # inside a caller's errstate(all="raise").
+    filt = make_random_filter(7)
+    basis = make_basis("cosine", 8, DEFAULT_GRID)
+    c = np.linalg.lstsq(basis.basis, filt.transmittance, rcond=None)[0]
+    tiny_c = np.zeros(basis.size)
+    tiny_c[0] = 1e-154
+    rank_two = np.full(N, 1e-200)
+    rank_two[15:17] = 1.0
+    start = FilterSpectrum(grid=DEFAULT_GRID, transmittance=rank_two, tau_min=1e-300)
+    calls = {
+        "filtered_vora_value": lambda: filtered_vora_value(camera, observer, filt),
+        "gradient": lambda: gradient(camera, observer, filt),
+        "gradient_in_basis, calling gradient": lambda: gradient_in_basis(
+            camera, observer, basis, c),
+        "hessian": lambda: hessian(camera, observer, filt),
+        "hessian_in_basis": lambda: hessian_in_basis(camera, observer, basis, c),
+        "newton_step": lambda: newton_step(camera, observer, filt, 1e-4),
+        "optimize": lambda: optimize(camera, observer, OptimizerConfig(max_iters=2)),
+    }
+    raising = {
+        "hessian_in_basis overflowing": (ValueError, lambda: hessian_in_basis(
+            camera, observer, basis, tiny_c)),
+        "optimize from a rank-deficient start": (RankDeficient, lambda: optimize(
+            camera, observer, OptimizerConfig(tau_min=1e-300), initial_filter=start)),
+    }
+    for state in ({}, {"all": "raise"}, {"over": "warn", "under": "raise"}):
+        with np.errstate(**state):
+            caller = np.geterr()
+            for name, call in calls.items():
+                call()
+                assert np.geterr() == caller, name
+            for name, (error, call) in raising.items():
+                with pytest.raises(error):
+                    call()
+                assert np.geterr() == caller, name
+
+
+def test_concurrent_calls_keep_each_threads_floating_point_state(camera, observer):
+    # Threads call gradient, each under an error state of its own: no call
+    # may fail on, or leave behind, another thread's state. A short switch
+    # interval interleaves the calls.
+    filt = make_random_filter(7)
+    states = [{"all": "raise"}, {"all": "ignore"}, {"over": "warn"}, {"under": "raise"}]
+
+    def worker(state):
+        with np.errstate(**state):
+            caller = np.geterr()
+            for _ in range(40):
+                gradient(camera, observer, filt)
+                assert np.geterr() == caller
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(states)) as pool:
+            for future in [pool.submit(worker, state) for state in states]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,28 @@ class TestOptimize:
         code = main(["optimize", "--filter", str(fpath), "--tau-min", "1e-300"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("tau_min", ["1e-200", "5e-324"])
+    def test_tiny_floor_ends_stalled_without_a_warning(self, capsys, tau_min):
+        # A row clipped to a floor far below the filter's scale overflows
+        # grad's model; the run ends stalled, with nothing on stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["optimize", "--tau-min", tau_min])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "termination: stalled" in out
+        assert err == ""
+
+    def test_newton_at_a_tiny_floor_converges(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["optimize", "--method", "newton", "--tau-min", "1e-200"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        assert "final_vora: 0.996936173527" in out
+        assert "iterations: 13\n" in out
 
     def test_no_flags_run_the_library_defaults(self, capsys, camera, observer):
         code = main(["optimize", "--json"])

@@ -1,21 +1,27 @@
-"""Property tests: the factored derivative operator and the CSV round trip.
+"""Property tests: the factored derivative operator, the floating-point rule
+and the CSV round trip.
 
 For the operator, hypothesis draws the grid size, two random three-lobe
 cameras (one serves as the observer) and a filter with some entries at the
-transmittance floor ``tau_min``. For the CSV format it draws tables of
-arbitrary finite floats. The examples are derandomized, so every run checks
-the same ones.
+transmittance floor ``tau_min``. For the floating-point rule it draws filters
+at every scale of the float64 range, down to the subnormals. For the CSV
+format it draws tables of arbitrary finite floats. The examples are
+derandomized, so every run checks the same ones.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_random_camera
 from oracles import paper_hessian
-from vorafilter import (FilterSpectrum, WavelengthGrid, format_spectral_csv, gradient,
-                        parse_spectral_csv)
+from vorafilter import (DEFAULT_GRID, FilterSpectrum, VoraFilterError, WavelengthGrid,
+                        filtered_vora_value, format_spectral_csv, gradient,
+                        gradient_in_basis, hessian, hessian_in_basis, make_basis,
+                        newton_step, parse_spectral_csv)
 from vorafilter.calculus import _hessian_factors, _projected_observer
 from vorafilter.projectors import orthonormal_columns
 
@@ -54,6 +60,55 @@ def test_factored_operator_identities(case):
     assert abs(float(f @ g)) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
     d0, u0 = _hessian_factors(w, v, r, f, 0.0)
     assert np.max(np.abs(g + d0 * f + u0 @ (u0.T @ f))) < 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(exponent=st.integers(min_value=-320, max_value=0),
+       mantissa=st.floats(min_value=1.0, max_value=9.0),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       one_entry=st.booleans())
+# Each of these broke the rule before it was defined once: a warning from
+# gradient before its own guard raised, and non-finite arrays, after overflow
+# warnings, from gradient_in_basis (c0 = 1e-310) and hessian_in_basis.
+@example(exponent=-315, mantissa=1.0, seed=0, one_entry=False)
+@example(exponent=-310, mantissa=1.0, seed=0, one_entry=True)
+@example(exponent=-154, mantissa=1.0, seed=0, one_entry=True)
+@example(exponent=-155, mantissa=3.0, seed=0, one_entry=True)
+def test_every_call_is_finite_or_raises_typed(camera, observer, exponent, mantissa, seed,
+                                               one_entry):
+    # The filter is ``scale * u`` with u uniform in [0.5, 1], or ones with one
+    # entry at ``scale``; the basis calls take c = (scale, 0, ...) in cosine:8.
+    # Every call, under warnings as errors, returns finite values or raises
+    # ValueError or a VoraFilterError.
+    scale = mantissa * float(f"1e{exponent}")
+    rng = np.random.default_rng(seed)
+    n = DEFAULT_GRID.count
+    if one_entry:
+        f = np.ones(n)
+        f[rng.integers(n)] = scale
+    else:
+        f = scale * rng.uniform(0.5, 1.0, n)
+    filt = FilterSpectrum(DEFAULT_GRID, f, tau_min=f.min(), tau_max=f.max())
+    basis = make_basis("cosine", 8, DEFAULT_GRID)
+    c = np.zeros(basis.size)
+    c[0] = scale
+    cam, obs = camera, observer
+    calls = {"filtered_vora_value": lambda: filtered_vora_value(cam, obs, filt).raw,
+             "filtered_vora_value of a stack": lambda: filtered_vora_value(cam, obs, f[None]),
+             "gradient": lambda: gradient(cam, obs, filt),
+             "gradient of a stack": lambda: gradient(cam, obs, f[None]),
+             "hessian": lambda: hessian(cam, obs, filt),
+             "newton_step": lambda: newton_step(cam, obs, filt, 1e-4),
+             "gradient_in_basis": lambda: gradient_in_basis(cam, obs, basis, c),
+             "hessian_in_basis": lambda: hessian_in_basis(cam, obs, basis, c, 1e-4)}
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = call()
+            except (ValueError, VoraFilterError):
+                continue
+        assert np.all(np.isfinite(out)), name
 
 
 # Extremes of the float64 exponent range, drawn often rather than by luck.
