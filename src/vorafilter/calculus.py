@@ -141,21 +141,19 @@ def _projected_observer(w: NDArray[np.float64],
     return w @ (w.swapaxes(-1, -2) @ v)
 
 
-def _hessian_diagonal(r: NDArray[np.float64], f: NDArray[np.float64],
-                      alpha: float) -> NDArray[np.float64]:
-    """``d`` of ``H + alpha I = diag(d) + U U^T``, from ``R``."""
-    return alpha - (2.0 / 3.0) * np.einsum("ij,ij->i", r, r) / (f * f)
+def _hessian_diagonal(r: NDArray[np.float64], f: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``d`` of ``H = diag(d) + U U^T``, from ``R``."""
+    return -(2.0 / 3.0) * np.einsum("ij,ij->i", r, r) / (f * f)
 
 
-def _hessian_factors(w: NDArray[np.float64], v: NDArray[np.float64],
-                     r: NDArray[np.float64], f: NDArray[np.float64],
-                     alpha: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """``(d, U)`` with ``H + alpha I = diag(d) + U U^T``; ``U`` is n x 9 and
-    ``r`` is :func:`_projected_observer` of ``w`` and ``v``."""
+def _hessian_factors(w: NDArray[np.float64], v: NDArray[np.float64], r: NDArray[np.float64],
+                     f: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``(d, U)`` with ``H = diag(d) + U U^T``; ``U`` is n x 9 and ``r`` is
+    :func:`_projected_observer` of ``w`` and ``v``."""
     z = v - 2.0 * r
     u = (w[:, :, None] * z[:, None, :]).reshape(f.size, 9)
     u *= (np.sqrt(2.0 / 3.0) / f)[:, None]
-    return _hessian_diagonal(r, f, alpha), u
+    return _hessian_diagonal(r, f), u
 
 
 def _basis_hessian(d: NDArray[np.float64], u: NDArray[np.float64],
@@ -229,7 +227,8 @@ def _factors(camera: SensorSet, observer: SensorSet, f: NDArray[np.float64],
         raise ValueError("alpha must be finite and nonnegative")
     w, v = _filtered_basis(camera, f), observer.basis
     r = _projected_observer(w, v)
-    return (r, *_hessian_factors(w, v, r, f, alpha))
+    d, u = _hessian_factors(w, v, r, f)
+    return r, d + alpha, u
 
 
 def _basis_filter(basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -261,7 +260,9 @@ def gradient_in_basis(camera: SensorSet, observer: SensorSet,
                       basis: BasisSet, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
     """Chain-rule gradient w.r.t. basis coefficients ``c``, where ``f = B c``."""
     _require_same_grid(camera.grid, observer.grid, basis.grid)
-    return basis.basis.T @ gradient(camera, observer, _basis_filter(basis, coeffs)[None])[0]
+    f = _basis_filter(basis, coeffs)
+    w, v = _filtered_basis(camera, f), observer.basis
+    return basis.basis.T @ _gradient(_projected_observer(w, v), v, f)
 
 
 @_finite_result

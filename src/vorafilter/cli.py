@@ -103,12 +103,20 @@ def _load_filter(path: str, grid: WavelengthGrid) -> FilterSpectrum:
         raise VoraFilterError(f"{path}: {exc}") from exc
 
 
-def _parse_grid(spec: str) -> WavelengthGrid:
+def _spec_fields(spec: str, name: str, form: str, types: tuple) -> list:
+    """``spec``'s ``:``-separated fields, converted by ``types``, or ``ValueError``."""
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be start:step:count, got {spec!r}")
-    return WavelengthGrid(start_nm=float(parts[0]), step_nm=float(parts[1]),
-                          count=int(parts[2]))
+    if len(parts) != len(types):
+        raise ValueError(f"{name} must be {form}, got {spec!r}")
+    try:
+        return [convert(part) for convert, part in zip(types, parts)]
+    except ValueError as exc:
+        raise ValueError(f"{name} {spec!r}: {exc}") from exc
+
+
+def _parse_grid(spec: str) -> WavelengthGrid:
+    start, step, count = _spec_fields(spec, "grid", "start:step:count", (float, float, int))
+    return WavelengthGrid(start_nm=start, step_nm=step, count=count)
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[WavelengthGrid, SensorSet, SensorSet]:
@@ -119,10 +127,8 @@ def _load_inputs(args: argparse.Namespace) -> tuple[WavelengthGrid, SensorSet, S
 
 
 def _parse_basis(spec: str, grid: WavelengthGrid):
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"basis must be kind:k, got {spec!r}")
-    return make_basis(parts[0], int(parts[1]), grid)
+    kind, k = _spec_fields(spec, "basis", "kind:k", (str, int))
+    return make_basis(kind, k, grid)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,7 +81,7 @@ from .calculus import (BasisSet, _basis_hessian, _capacitance, _gradient,
                        _hessian_diagonal, _hessian_factors, _projected_observer,
                        _woodbury)
 from .errors import NoAscent, NonPositiveFilter
-# bench/run.py traces QR calls through this module's orthonormal_columns.
+# Unused here (the QRs go through vora._filtered_basis); bench/run.py looks it up.
 from .projectors import _finite_result, orthonormal_columns  # noqa: F401
 from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
                        _is_integer, _require_same_grid, _single_filter_values)
@@ -444,9 +444,9 @@ class _RunState:
         r = _projected_observer(self.w, self.v)
         g = _gradient(r, self.v, self.f)
         if cfg.method == "newton":
-            d, u = _hessian_factors(self.w, self.v, r, self.f, 0.0)
+            d, u = _hessian_factors(self.w, self.v, r, self.f)
         else:
-            d = self._spectral_diagonal(g, _hessian_diagonal(r, self.f, 0.0))
+            d = self._spectral_diagonal(g, _hessian_diagonal(r, self.f))
             u = np.empty((d.size, 0))
         if self.basis is not None:
             return self._wall_subproblem(_basis_hessian(d, u, self.basis),

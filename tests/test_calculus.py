@@ -469,10 +469,10 @@ def test_factored_operator_matches_dense_assembly(cie_table, n, floor, alpha):
     dense = dense_operator(f)
     w = orthonormal_columns(f[:, None] * camera.responses)
     v = orthonormal_columns(observer.responses)
-    d, u = _hessian_factors(w, v, _projected_observer(w, v), f, alpha)
+    d, u = _hessian_factors(w, v, _projected_observer(w, v), f)
     assert u.shape == (n, 9)
     factored = hessian(camera, observer, filt, alpha=alpha)
-    assert np.array_equal(factored, np.diag(d) + u @ u.T)
+    assert np.array_equal(factored, np.diag(d + alpha) + u @ u.T)
     assert rel_err(factored, dense) <= 1e-12
 
     basis = make_basis("cosine", 8, grid)

@@ -19,7 +19,7 @@ from vorafilter import (
     optimize,
     vora_value,
 )
-from vorafilter.cli import main
+from vorafilter.cli import DEFAULT_CAMERA_FILE, _load_sensors, main
 
 
 @pytest.fixture
@@ -94,7 +94,7 @@ class TestEvaluate:
         code = main(["evaluate", "--camera", str(path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert str(path) in err and "sensor responses" in err
+        assert f"{path}: sensor responses" in err
 
     def test_csv_with_byte_order_mark(self, capsys, tmp_path):
         lam = DEFAULT_GRID.wavelengths
@@ -319,6 +319,17 @@ class TestOptimize:
         assert "final_vora: 0.996936173527" in out
         assert "iterations: 13\n" in out
 
+    @pytest.mark.parametrize("flags, bound", [
+        ([], 150),  # the gradient method, 132 steps
+        (["--method", "newton", "--grid", "400:0.5:601"], 20),  # 11 iterations
+    ], ids=["grad", "newton-601"])
+    def test_design_converges_within_its_bound(self, capsys, flags, bound):
+        code = main(["optimize", *flags, "--json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == 0
+        assert payload["termination"].startswith("converged")
+        assert payload["iterations"] <= bound
+
     def test_no_flags_run_the_library_defaults(self, capsys, camera, observer):
         code = main(["optimize", "--json"])
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -329,7 +340,9 @@ class TestOptimize:
         assert payload["termination"] == report.termination
 
     @pytest.mark.parametrize("flag, spec", [("--grid", "400:10"),
-                                            ("--basis", "cosine")])
+                                            ("--grid", "400:x:31"),
+                                            ("--basis", "cosine"),
+                                            ("--basis", "cosine:x")])
     def test_malformed_spec_exits_2_naming_it(self, capsys, flag, spec):
         code = main(["optimize", flag, spec])
         err = capsys.readouterr().err
@@ -353,10 +366,11 @@ class TestOptimize:
         lines[5] = lines[5].split(",")[0] + ",abc"
         path = tmp_path / "filter.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main(["optimize", "--filter", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert f"{path}: line 6" in err
+        for command in ("evaluate", "optimize"):
+            code = main([command, "--filter", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"{path}: line 6" in err
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_2_naming_the_field(self, capsys, alpha):
@@ -388,8 +402,8 @@ class TestOptimize:
                          "--json", *basis])
             assert code == 0
             payloads.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
+            assert payloads[-1]["termination"].startswith("converged")
         percent, fraction = payloads
-        assert percent["termination"].startswith("converged")
         for key in ("initial_vora", "final_vora"):
             assert abs(percent[key] - fraction[key]) <= 1e-12
         # A zero entry is still no filter.
@@ -438,6 +452,24 @@ class TestCheck:
         assert code == 4
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flags", [[], ["--grid", "400:1:301", "--trials", "1"]],
+                             ids=["20-trials", "n301"])
+    def test_passes_at_the_default_trials_and_on_the_1nm_grid(self, capsys, flags):
+        code = main(["check", *flags, "--json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == 0
+        assert payload["pass"] is True
+
+    def test_gradient_oracle_stays_accurate_at_n601(self, capsys):
+        # The oracle's error at its default step is 1.7e-8 here; 1.8e-7 with
+        # a round-off-sized step of 1e-6.
+        code = main(["check", "--grid", "400:0.5:601", "--trials", "1", "--json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        errors = {c["identity"]: c["max_error"] for c in payload["checks"]}
+        assert code == 0
+        assert payload["pass"] is True
+        assert errors["gradient_vs_fd"] < 5e-8
+
     def test_negative_trials_exits_2(self, capsys):
         code = main(["check", "--trials", "-1"])
         err = capsys.readouterr().err
@@ -446,6 +478,11 @@ class TestCheck:
 
 
 class TestDataEnvVar:
+    def test_bundled_camera_is_gaussian_camera(self, camera):
+        # So a library test on gaussian_camera() tests the CLI's default camera.
+        bundled = _load_sensors(None, DEFAULT_CAMERA_FILE, DEFAULT_GRID)
+        assert np.array_equal(bundled.responses, camera.responses)
+
     def test_fixture_directory_override(self, capsys, tmp_path, monkeypatch):
         import importlib.resources
         data = importlib.resources.files("vorafilter").joinpath("data")

@@ -105,12 +105,19 @@ class TestSingularNewtonSystem:
         # The package's ``optimize`` function shadows the submodule.
         optimize_module = importlib.import_module("vorafilter.optimize")
         calls = []
+        real_system = calculus._factors
 
-        def zero_factors(w, v, r, f, alpha):
+        def zero_factors(w, v, r, f):
             calls.append(f.size)
             return np.zeros(f.size), np.zeros((f.size, 9))
 
-        monkeypatch.setattr(calculus, "_hessian_factors", zero_factors)
+        def zero_system(camera, observer, f, alpha):
+            # newton_step adds alpha to the kernel's d, so its system is
+            # zeroed after that.
+            r = real_system(camera, observer, f, alpha)[0]
+            return (r, *zero_factors(None, None, r, f))
+
+        monkeypatch.setattr(calculus, "_factors", zero_system)
         monkeypatch.setattr(optimize_module, "_hessian_factors", zero_factors)
         return calls
 
@@ -154,9 +161,11 @@ class TestWoodburyFallback:
         real_factors = calculus._hessian_factors
         alpha = 1e-4
 
-        def zero_pivot(w, v, r, f, alpha):
-            d, u = real_factors(w, v, r, f, alpha)
-            d[5] = 0.0  # D^-1 is not finite, diag(d) + U U^T stays nonsingular
+        def zero_pivot(w, v, r, f):
+            d, u = real_factors(w, v, r, f)
+            # Zero once alpha is added: D^-1 is not finite, diag(d) + U U^T
+            # stays nonsingular.
+            d[5] = -alpha
             return d, u
 
         monkeypatch.setattr(calculus, "_hessian_factors", zero_pivot)
@@ -166,8 +175,8 @@ class TestWoodburyFallback:
 
         w = calculus.orthonormal_columns(f[:, None] * camera.responses)
         v = calculus.orthonormal_columns(observer.responses)
-        d, u = zero_pivot(w, v, calculus._projected_observer(w, v), f, alpha)
-        operator = np.diag(d) + u @ u.T
+        d, u = zero_pivot(w, v, calculus._projected_observer(w, v), f)
+        operator = np.diag(d + alpha) + u @ u.T
         assert np.linalg.cond(operator) < 1e12
         rhs = -(gradient(camera, observer, filt) + alpha * f)
         assert np.array_equal(step, np.linalg.solve(operator, rhs))
@@ -470,7 +479,7 @@ class TestSpectralModel:
         g = plain.previous[1]
         state = _RunState(camera, observer, config, filt)
         w = _filtered_basis(camera, state.f)
-        d = _hessian_diagonal(_projected_observer(w, observer.basis), state.f, 0.0)
+        d = _hessian_diagonal(_projected_observer(w, observer.basis), state.f)
         scale = _preconditioner(d)
         s = np.random.default_rng(4).standard_normal(N)
         state.previous = (state.x - s, g - curvature * scale * s)
@@ -560,6 +569,7 @@ class TestSpectralModel:
             config["basis"] = make_basis(*basis, DEFAULT_GRID)
         report = optimize(camera, observer, OptimizerConfig(method="newton", **config))
         assert _report_digest(report) == digest
+        assert report.termination == "converged_grad"
 
 
 class TestOptimizeColorimetric:

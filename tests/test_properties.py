@@ -50,16 +50,15 @@ def test_factored_operator_identities(case):
     w = orthonormal_columns(f[:, None] * camera.responses)
     v = orthonormal_columns(observer.responses)
     r = _projected_observer(w, v)
-    d, u = _hessian_factors(w, v, r, f, case["alpha"])
+    d, u = _hessian_factors(w, v, r, f)
     dense = (paper_hessian(camera.responses, observer.responses, f)
              + case["alpha"] * np.eye(n))
-    factored = np.diag(d) + u @ u.T
+    factored = np.diag(d + case["alpha"]) + u @ u.T
     assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     g = gradient(camera, observer, filt)
     assert abs(float(f @ g)) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
-    d0, u0 = _hessian_factors(w, v, r, f, 0.0)
-    assert np.max(np.abs(g + d0 * f + u0 @ (u0.T @ f))) < 1e-8
+    assert np.max(np.abs(g + d * f + u @ (u.T @ f))) < 1e-8
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -69,7 +68,9 @@ def test_factored_operator_identities(case):
        one_entry=st.booleans())
 # Each of these broke the rule before it was defined once: a warning from
 # gradient before its own guard raised, and non-finite arrays, after overflow
-# warnings, from gradient_in_basis (c0 = 1e-310) and hessian_in_basis.
+# warnings, from gradient_in_basis (c0 = 1e-310) and hessian_in_basis. At
+# c0 = 1e-315 gradient_in_basis raised from the gradient nested in it, where
+# now it raises, as at c0 = 1e-310, "gradient_in_basis entries must be finite".
 @example(exponent=-315, mantissa=1.0, seed=0, one_entry=False)
 @example(exponent=-310, mantissa=1.0, seed=0, one_entry=True)
 @example(exponent=-154, mantissa=1.0, seed=0, one_entry=True)
@@ -79,7 +80,8 @@ def test_every_call_is_finite_or_raises_typed(camera, observer, exponent, mantis
     # The filter is ``scale * u`` with u uniform in [0.5, 1], or ones with one
     # entry at ``scale``; the basis calls take c = (scale, 0, ...) in cosine:8.
     # Every call, under warnings as errors, returns finite values or raises
-    # ValueError or a VoraFilterError.
+    # ValueError or a VoraFilterError; a basis call's non-finite result is
+    # named by that call.
     scale = mantissa * float(f"1e{exponent}")
     rng = np.random.default_rng(seed)
     n = DEFAULT_GRID.count
@@ -106,7 +108,9 @@ def test_every_call_is_finite_or_raises_typed(camera, observer, exponent, mantis
             warnings.simplefilter("error")
             try:
                 out = call()
-            except (ValueError, VoraFilterError):
+            except (ValueError, VoraFilterError) as exc:
+                if name.endswith("_in_basis") and "entries must be finite" in str(exc):
+                    assert str(exc) == f"{name} entries must be finite"
                 continue
         assert np.all(np.isfinite(out)), name
 

@@ -8,6 +8,8 @@ import pytest
 from conftest import cie_csv_text
 from vorafilter import (
     DEFAULT_GRID,
+    BadBasisSpec,
+    BasisSet,
     DuplicateWavelength,
     FilterSpectrum,
     InsufficientCoverage,
@@ -19,7 +21,9 @@ from vorafilter import (
     WavelengthGrid,
     format_spectral_csv,
     gaussian_camera,
+    gradient_in_basis,
     load_sensor_set,
+    make_basis,
     parse_spectral_csv,
     resample_to_grid,
 )
@@ -306,3 +310,39 @@ class TestFilterIO:
         write_filter_csv(path, filt)
         with pytest.raises(ValueError):
             load_filter_spectrum(path, tau_min=0.6, tau_max=1.0)
+
+
+G = DEFAULT_GRID
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda cam, obs: BasisSet(G, np.ones((30, 2))),
+     ValueError, "basis must be 31 x k, got (30, 2)"),
+    (lambda cam, obs: BasisSet(G, np.ones((31, 0))),
+     BadBasisSpec, "basis size k=0 outside [1, n]"),
+    (lambda cam, obs: gradient_in_basis(cam, obs, make_basis("cosine", 8, G), np.ones(7)),
+     ValueError, "coeffs must have length 8, got (7,)"),
+    (lambda cam, obs: SensorSet(G, np.ones((31, 2))),
+     ValueError, "responses must be 31x3, got (31, 2)"),
+    (lambda cam, obs: SensorSet(G, cam.responses, ("r", "g")),
+     ValueError, "exactly three channel names required"),
+    (lambda cam, obs: FilterSpectrum(G, np.ones(30)),
+     ValueError, "transmittance must have length 31, got (30,)"),
+    (lambda cam, obs: parse_spectral_csv("# a comment\n\n", expected_channels=1),
+     MalformedCsv, "no header row found"),
+    (lambda cam, obs: parse_spectral_csv("wavelength,t\n", expected_channels=1),
+     MalformedCsv, "no data rows found"),
+    (lambda cam, obs: format_spectral_csv(np.arange(3.0), np.ones(2), ("t",)),
+     ValueError, "values rows must match wavelengths"),
+    (lambda cam, obs: resample_to_grid(np.arange(3.0), np.ones(2), G),
+     ValueError, "values rows must match wavelengths"),
+    (lambda cam, obs: resample_to_grid(np.array([400.0, 700.0, 550.0]), np.ones(3), G),
+     UnsortedWavelength, "source wavelengths must be strictly increasing"),
+], ids=["basis-shape", "basis-size", "coeffs-length", "responses-shape",
+        "channel-names", "transmittance-length", "csv-no-header", "csv-no-rows",
+        "format-rows", "resample-rows", "resample-unsorted"])
+def test_public_input_guard_raises_typed_and_named(camera, observer, call, error, message):
+    with pytest.raises(error) as raised:
+        call(camera, observer)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
