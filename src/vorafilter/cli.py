@@ -49,7 +49,8 @@ DATA_ENV_VAR = "VORA_FILTER_DATA"
 DEFAULT_OBSERVER_FILE = "cie1931_2deg_5nm.csv"
 DEFAULT_CAMERA_FILE = "gaussian_camera_10nm.csv"
 
-# Identity-check tolerances, shared with the acceptance suite.
+# Identity-check tolerances. tests/test_acceptance.py states each again as a
+# literal, so that neither copy can be loosened alone.
 CHECK_TOLERANCES = {
     "gradient_vs_fd": 1e-5,
     "hessian_vs_fd": 1e-4,

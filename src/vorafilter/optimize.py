@@ -374,12 +374,11 @@ class _RunState:
 
     # -- gauge: a trial iterate -> (iterate, filter), or None if infeasible --
 
-    def _gauge_full(self, values: NDArray[np.float64]) -> _Gauged | None:
-        """Rescale into the gauge, then clip into the box."""
-        peak = values.max()
-        if not peak > 0.0:
-            return None
-        f = np.clip(values * (self.config.tau_max / peak),
+    def _gauge_full(self, values: NDArray[np.float64]) -> _Gauged:
+        """Rescale into the gauge, then clip into the box. The peak is
+        positive: so is a start filter, and a trial (never a NaN step) keeps
+        at least one row of the iterate as it is."""
+        f = np.clip(values * (self.config.tau_max / values.max()),
                     self.config.tau_min, self.config.tau_max)
         return f, f
 

@@ -12,28 +12,56 @@ from vorafilter import (
     FilterSpectrum,
     SensorSet,
     WavelengthGrid,
+    filtered_vora_value,
     gaussian_camera,
-    parse_spectral_csv,
-    resample_to_grid,
+    gradient,
+    load_sensor_set,
 )
+
+CIE_CSV = importlib.resources.files("vorafilter").joinpath("data", "cie1931_2deg_5nm.csv")
 
 
 def cie_csv_text() -> str:
-    return (importlib.resources.files("vorafilter")
-            .joinpath("data", "cie1931_2deg_5nm.csv").read_text(encoding="utf-8"))
+    return CIE_CSV.read_text(encoding="utf-8")
+
+
+def cie_observer(n: int = DEFAULT_GRID.count) -> SensorSet:
+    """The bundled CIE 1931 observer on the n-sample 400-700 nm grid."""
+    grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
+    return load_sensor_set(CIE_CSV, grid)
+
+
+def cie_instance(n: int, seed: int | None = None, floor: bool = False):
+    """The Gaussian camera and the CIE observer on the n-sample grid, and a
+    random transmittance in [0.3, 1] (ten entries at 1e-4 if ``floor``),
+    drawn with ``seed``, by default ``n``."""
+    observer = cie_observer(n)
+    rng = np.random.default_rng(n if seed is None else seed)
+    target = rng.uniform(0.3, 1.0, n)
+    if floor:
+        target[rng.permutation(n)[:10]] = 1e-4
+    return gaussian_camera(observer.grid), observer, target
+
+
+def rel_err(candidate, reference) -> float:
+    return float(np.max(np.abs(candidate - reference)) /
+                 np.max(np.abs(reference)))
+
+
+def objective_fn(camera, observer):
+    """The value over a stack of filters, as the FD oracles call it."""
+    return lambda probes: filtered_vora_value(camera, observer, probes)
+
+
+def gradient_fn(camera, observer):
+    """The gradient over a stack of filters, as the FD oracles call it."""
+    return lambda probes: gradient(camera, observer, probes)
 
 
 @pytest.fixture(scope="session")
-def cie_table():
-    return parse_spectral_csv(cie_csv_text(), expected_channels=3)
+def observer() -> SensorSet:
+    return cie_observer()
 
-
-@pytest.fixture(scope="session")
-def observer(cie_table) -> SensorSet:
-    responses = resample_to_grid(cie_table.wavelengths, cie_table.values,
-                                 DEFAULT_GRID)
-    return SensorSet(grid=DEFAULT_GRID, responses=responses,
-                     channel_names=("x", "y", "z"))
 
 @pytest.fixture(scope="session")
 def camera() -> SensorSet:

@@ -11,6 +11,7 @@ Nothing here shares code with the package's evaluation paths:
   expression, not from the package's ``diag(d) + U U^T`` factors.
 * The random-search baseline and the regularized objective ``mu`` evaluate
   filters with their own stacked QR.
+* A planted camera has a design whose answer is known in closed form.
 """
 
 from __future__ import annotations
@@ -141,3 +142,16 @@ def conditioned_sensor_matrix(rng: np.random.Generator, n: int,
     u, _, vt = np.linalg.svd(raw, full_matrices=False)
     s = np.array([1.0, 1.0 / np.sqrt(condition), 1.0 / condition])
     return u @ np.diag(s) @ vt
+
+
+def planted_camera(observer: np.ndarray, f_star: np.ndarray, seed: int) -> np.ndarray:
+    """Camera responses ``Q = diag(1/f*) X M``, with ``X`` the observer's and
+    ``M`` a uniform(0.2, 1) 3 x 3 drawn from ``seed``.
+
+    Filtered by ``f*``, the camera spans the observer's space (the
+    Luther-Ives condition), so its filtered Vora-Value has its maximum,
+    exactly 1, at every ``f`` proportional to ``f*``. ``M`` changes only
+    the rounding: ``span(Q)`` does not depend on it.
+    """
+    m = np.random.default_rng(seed).uniform(0.2, 1.0, (3, 3))
+    return (np.asarray(observer) @ m) / np.asarray(f_star)[:, None]

@@ -12,12 +12,13 @@ import time
 
 import numpy as np
 
-from conftest import (make_random_camera, make_random_filter, random_instances,
-                      sabotage_gradient)
+from conftest import (cie_observer, gradient_fn, make_random_camera, make_random_filter,
+                      objective_fn, random_instances, rel_err, sabotage_gradient)
 from oracles import (
     conditioned_sensor_matrix,
     exact_vora,
     paper_hessian,
+    planted_camera,
     random_search_best,
 )
 from vorafilter import (
@@ -30,6 +31,7 @@ from vorafilter import (
     filtered_vora_value,
     gradient,
     hessian,
+    make_basis,
     newton_step,
     optimize,
     vora_value,
@@ -46,30 +48,17 @@ def _verdict(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number:02d} {name}: {detail}"
 
 
-def _rel_err(candidate, reference) -> float:
-    return float(np.max(np.abs(candidate - reference)) /
-                 np.max(np.abs(reference)))
-
-
 def _instances(observer):
     for camera, filt in random_instances(INSTANCE_COUNT):
         yield camera, observer, filt
-
-
-def _objective(camera, observer):
-    return lambda probes: filtered_vora_value(camera, observer, probes)
-
-
-def _grad_fn(camera, observer):
-    return lambda probes: gradient(camera, observer, probes)
 
 
 def test_criterion_01_gradient_matches_finite_differences(observer):
     worst = 0.0
     for camera, obs, filt in _instances(observer):
         got = gradient(camera, obs, filt)
-        want = fd_gradient(_objective(camera, obs), filt, h=1e-6)
-        worst = max(worst, _rel_err(got, want))
+        want = fd_gradient(objective_fn(camera, obs), filt, h=1e-6)
+        worst = max(worst, rel_err(got, want))
     _verdict(1, "gradient vs central differences", worst < 1e-5,
              f"max rel err {worst:.3e}, tol 1e-05")
 
@@ -79,8 +68,8 @@ def test_criterion_02_hessian_matches_fd_of_gradient(observer):
     worst_asym = 0.0
     for camera, obs, filt in _instances(observer):
         got = hessian(camera, obs, filt, alpha=0.0)
-        want = fd_hessian(_grad_fn(camera, obs), filt, h=1e-5)
-        worst = max(worst, _rel_err(got, want))
+        want = fd_hessian(gradient_fn(camera, obs), filt, h=1e-5)
+        worst = max(worst, rel_err(got, want))
         raw = paper_hessian(camera.responses, obs.responses, filt.transmittance)
         worst_asym = max(worst_asym, float(np.max(np.abs(raw - raw.T))))
     _verdict(2, "hessian vs differentiated gradient",
@@ -253,3 +242,45 @@ def test_criterion_11_newton_runtime_under_one_second(camera, observer):
              elapsed < 1.0 and converged,
              f"{elapsed:.3f} s for {report.accepted_steps} iterations, "
              f"termination {report.termination} (n = {N})")
+
+
+def test_criterion_12_planted_optimum_is_found():
+    # The plant f* runs from 0.24 to 1 (in basis mode, its fit B c*), so
+    # the design must end at f proportional to f* with value 1; at
+    # tau_min = 0.3 the plant is out of the box and the value stays short.
+    # gaussian:12 with grad is left out: it takes about 1700-2000 steps.
+    modes = [(None, "newton"), (None, "grad"), (("cosine", 8), "newton"),
+             (("cosine", 8), "grad"), (("gaussian", 12), "newton")]
+    worst = {"newton": [0.0, 0.0], "grad": [0.0, 0.0]}  # |1 - V|, filter error
+    control_gap, control_floor, converged = np.inf, np.inf, True
+    for n in (31, 301):
+        observer = cie_observer(n)
+        lam = observer.grid.wavelengths
+        for spec, method in modes:
+            f_star = 0.05 + 0.95 * np.exp(-0.5 * ((lam - 560.0) / 90.0) ** 2)
+            basis = None if spec is None else make_basis(*spec, observer.grid)
+            if basis is not None:
+                f_star = basis.basis @ np.linalg.lstsq(basis.basis, f_star, rcond=None)[0]
+                f_star /= f_star.max()
+            camera = SensorSet(grid=observer.grid,
+                               responses=planted_camera(observer.responses, f_star, seed=0))
+            for tau_min in (1e-4, 0.3):
+                report = optimize(camera, observer, OptimizerConfig(
+                    method=method, basis=basis, tau_min=tau_min))
+                f = report.final_filter.transmittance
+                converged &= report.termination in ("converged_grad", "converged_obj")
+                if tau_min == 0.3:
+                    control_gap = min(control_gap, 1.0 - report.final_vora)
+                    control_floor = min(control_floor, f.min())
+                else:
+                    errs = worst[method]
+                    errs[0] = max(errs[0], abs(1.0 - report.final_vora))
+                    errs[1] = max(errs[1], float(np.max(np.abs(f / f.max() - f_star))))
+    (newton_v, newton_f), (grad_v, grad_f) = worst["newton"], worst["grad"]
+    ok = (converged and newton_v <= 1e-14 and newton_f <= 1e-7 and grad_v <= 1e-11
+          and grad_f <= 1e-4 and control_gap > 1e-6 and control_floor >= 0.3)
+    _verdict(12, "planted optimum found; an out-of-box plant stays short", ok,
+             f"all converged: {converged}; newton |1-V| {newton_v:.1e} (tol 1e-14), "
+             f"filter {newton_f:.1e} (tol 1e-07); grad |1-V| {grad_v:.1e} (tol 1e-11), "
+             f"filter {grad_f:.1e} (tol 1e-04); at tau_min 0.3 1-V >= {control_gap:.1e} "
+             f"(min 1e-06), min f {control_floor:g} (min 0.3)")

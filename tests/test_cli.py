@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,14 +435,6 @@ class TestOptimize:
 
 
 class TestCheck:
-    def test_fixtures_pass(self, capsys):
-        code = main(["check", "--trials", "5", "--json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        payload = json.loads(out.splitlines()[-1])
-        assert payload["pass"] is True
-        assert len(payload["checks"]) == 7
-
     def test_zero_trials_is_vacuous_pass(self, capsys):
         code = main(["check", "--trials", "0"])
         out = capsys.readouterr().out
@@ -459,6 +455,7 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert code == 0
         assert payload["pass"] is True
+        assert len(payload["checks"]) == 7
 
     def test_gradient_oracle_stays_accurate_at_n601(self, capsys):
         # The oracle's error at its default step is 1.7e-8 here; 1.8e-7 with
@@ -499,3 +496,17 @@ class TestDataEnvVar:
         monkeypatch.setenv("VORA_FILTER_DATA", str(tmp_path / "nope"))
         code = main(["evaluate"])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--json"], ["optimize", "--basis", "identity:8"]])
+def test_module_entry_point_is_main(capsys, argv):
+    # ``python -m vorafilter.cli`` prints what main prints and exits with its code.
+    import vorafilter
+    src = str(Path(vorafilter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run([sys.executable, "-m", "vorafilter.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)

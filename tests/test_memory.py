@@ -18,21 +18,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import cie_instance, gradient_fn, objective_fn
 from vorafilter import (
     FilterSpectrum,
     OptimizerConfig,
-    SensorSet,
-    WavelengthGrid,
     fd_gradient,
     fd_hessian,
-    filtered_vora_value,
-    gaussian_camera,
     gradient,
     gradient_in_basis,
     make_basis,
     newton_step,
     optimize,
-    resample_to_grid,
 )
 
 N_FINE = 2001
@@ -41,22 +37,17 @@ N_FD = 1201
 FD_BLOCK_LIMIT_BYTES = 32 * 2**20
 
 
-def fine_instance(cie_table, n):
-    grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
-    observer = SensorSet(grid=grid, responses=resample_to_grid(
-        cie_table.wavelengths, cie_table.values, grid))
-    filt = FilterSpectrum(grid=grid, transmittance=np.random.default_rng(7).uniform(
-        0.3, 1.0, n))
-    return gaussian_camera(grid), observer, filt
+def fine_instance(n):
+    camera, observer, f = cie_instance(n, seed=7)
+    return camera, observer, FilterSpectrum(grid=camera.grid, transmittance=f)
 
 
 @pytest.fixture(scope="module")
-def fine(cie_table):
-    grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (N_FINE - 1), count=N_FINE)
-    basis = make_basis("cosine", 8, grid)
+def fine():
+    camera, observer, filt = fine_instance(N_FINE)
     coeffs = np.zeros(8)
     coeffs[0], coeffs[2] = 0.7, 0.1
-    return (*fine_instance(cie_table, N_FINE), basis, coeffs)
+    return camera, observer, filt, make_basis("cosine", 8, camera.grid), coeffs
 
 
 def peak_bytes(fn, *args) -> int:
@@ -95,10 +86,10 @@ def test_newton_optimize(fine):
     assert peak_bytes(optimize, camera, observer, config) < PEAK_LIMIT_BYTES
 
 
-def test_fd_oracles_evaluate_probe_blocks(cie_table):
-    camera, observer, filt = fine_instance(cie_table, N_FD)
+def test_fd_oracles_evaluate_probe_blocks():
+    camera, observer, filt = fine_instance(N_FD)
     result_bytes = N_FD * N_FD * 8
-    assert peak_bytes(fd_gradient, lambda p: filtered_vora_value(camera, observer, p),
+    assert peak_bytes(fd_gradient, objective_fn(camera, observer),
                       filt) < FD_BLOCK_LIMIT_BYTES
-    assert peak_bytes(fd_hessian, lambda p: gradient(camera, observer, p),
+    assert peak_bytes(fd_hessian, gradient_fn(camera, observer),
                       filt) < FD_BLOCK_LIMIT_BYTES + 2 * result_bytes

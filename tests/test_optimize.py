@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_random_filter
+from conftest import cie_observer, make_random_filter
 from oracles import regularized_objective
 from vorafilter import (
     DEFAULT_GRID,
@@ -20,7 +20,6 @@ from vorafilter import (
     RankDeficient,
     SensorSet,
     SingularSystem,
-    WavelengthGrid,
     gaussian_camera,
     gradient,
     gradient_in_basis,
@@ -28,7 +27,6 @@ from vorafilter import (
     make_basis,
     newton_step,
     optimize,
-    resample_to_grid,
     vora_value,
 )
 from vorafilter.vora import _filtered_basis
@@ -181,6 +179,19 @@ class TestWoodburyFallback:
         rhs = -(gradient(camera, observer, filt) + alpha * f)
         assert np.array_equal(step, np.linalg.solve(operator, rhs))
 
+    def test_singular_capacitance_gives_the_dense_solve(self, monkeypatch, camera, observer):
+        import vorafilter.calculus as calculus
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(calculus, "_woodbury", singular)
+        filt = make_random_filter(5)
+        alpha = 1e-4
+        rhs = -(gradient(camera, observer, filt) + alpha * filt.transmittance)
+        assert np.array_equal(newton_step(camera, observer, filt, alpha),
+                              np.linalg.solve(hessian(camera, observer, filt, alpha), rhs))
+
 
 class TestTrustRegionNewton:
     """Newton on the quotient by the scale gauge, in a trust region."""
@@ -256,7 +267,7 @@ class TestTrustRegionNewton:
         assert len(steps) == 1
         assert np.linalg.norm(steps[0]) == pytest.approx(radius, rel=1e-12)
 
-    def test_subproblem_work_does_not_grow_with_n(self, monkeypatch, cie_table):
+    def test_subproblem_work_does_not_grow_with_n(self, monkeypatch):
         # CG's products per solve grow with n, up to 62 at n = 601. Interior
         # steps are one Woodbury solve instead, so only the boundary steps
         # of a run's first iterations take CG products.
@@ -271,11 +282,9 @@ class TestTrustRegionNewton:
         monkeypatch.setattr(importlib.import_module("vorafilter.optimize"),
                             "_truncated_cg", counted)
         for n in (31, 301, 601):
-            grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
-            observer = SensorSet(grid=grid, responses=resample_to_grid(
-                cie_table.wavelengths, cie_table.values, grid))
+            observer = cie_observer(n)
             products.clear()
-            report = optimize(gaussian_camera(grid), observer,
+            report = optimize(gaussian_camera(observer.grid), observer,
                               OptimizerConfig(method="newton"))
             assert report.termination == "converged_grad", n
             assert len(products) <= 40, n
@@ -343,7 +352,7 @@ class TestTrustRegionNewton:
             (31, 1, "gaussian", 12, 0.9765124044734406, 900),
             (31, 9, "cosine", 8, 0.9336433124032374, 60),
         ]])
-    def test_basis_mode_slides_along_the_wall(self, cie_table, n, seed, kind, k,
+    def test_basis_mode_slides_along_the_wall(self, n, seed, kind, k,
                                               race, method, steps):
         # The optimum lies on the box wall: the filter touches tau_min, and
         # B^T g stays large there, so only the gradient projected past the
@@ -351,11 +360,9 @@ class TestTrustRegionNewton:
         # stopped on these problems. The gradient method's diagonal model
         # holds the same wall pairs, in 408 / 700 / 40 steps.
         from conftest import make_random_camera
-        grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
-        observer = SensorSet(grid=grid, responses=resample_to_grid(
-            cie_table.wavelengths, cie_table.values, grid))
-        camera = make_random_camera(1000 + seed, grid)
-        basis = make_basis(kind, k, grid)
+        observer = cie_observer(n)
+        camera = make_random_camera(1000 + seed, observer.grid)
+        basis = make_basis(kind, k, observer.grid)
         config = OptimizerConfig(method=method, basis=basis)
         report = optimize(camera, observer, config)
         if method == "newton":
@@ -414,13 +421,11 @@ class TestTrustRegionNewton:
             finals.append(report.final_vora)
         assert max(finals) - min(finals) <= 1e-12
 
-    def test_consistent_under_grid_refinement(self, cie_table):
+    def test_consistent_under_grid_refinement(self):
         finals = []
         for n in (31, 61, 301, 601):
-            grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
-            observer = SensorSet(grid=grid, responses=resample_to_grid(
-                cie_table.wavelengths, cie_table.values, grid))
-            report = optimize(gaussian_camera(grid), observer,
+            observer = cie_observer(n)
+            report = optimize(gaussian_camera(observer.grid), observer,
                               OptimizerConfig(method="newton"))
             assert report.termination in ("converged_grad", "converged_obj"), n
             assert report.accepted_steps <= 40, n
@@ -608,16 +613,14 @@ class TestOptimizeEfficacy:
 
     @pytest.mark.parametrize("n", [31, 61, 301, 601])
     @pytest.mark.parametrize("tau_min", [1e-4, 0.3])
-    def test_gradient_method_converges_to_newtons_optimum(self, cie_table, n, tau_min):
+    def test_gradient_method_converges_to_newtons_optimum(self, n, tau_min):
         # With the Barzilai-Borwein curvature and the scaled Cauchy step the
         # diagonal model reaches Newton's optimum from the unit filter in
         # 106-149 steps at tau_min = 1e-4 and 66-79 at tau_min = 0.3, and
         # from the seed-0 random start in 58-161, ending within 7.2e-11 of
         # Newton's value. Newton takes 9-16 steps.
-        grid = WavelengthGrid(start_nm=400.0, step_nm=300.0 / (n - 1), count=n)
-        observer = SensorSet(grid=grid, responses=resample_to_grid(
-            cie_table.wavelengths, cie_table.values, grid))
-        camera = gaussian_camera(grid)
+        observer = cie_observer(n)
+        camera = gaussian_camera(observer.grid)
         for init in ("ones", "random"):
             grad, newton = (optimize(camera, observer, OptimizerConfig(
                 method=method, tau_min=tau_min, init=init))
@@ -733,6 +736,16 @@ class TestTermination:
         assert report.accepted_steps >= 1
         assert report.final_vora > report.initial_vora
         assert abs(report.final_filter.transmittance.min() - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("method", ["newton", "grad"])
+    def test_every_row_on_a_bound_ends_converged_grad(self, camera, observer, method):
+        # In the box [0.99, 1] the optimum has each row on a bound with its
+        # gradient pointing out: no coordinate is free to step, and the
+        # projected gradient is zero.
+        report = optimize(camera, observer, OptimizerConfig(method=method, tau_min=0.99))
+        f = report.final_filter.transmittance
+        assert report.termination == "converged_grad"
+        assert np.all((f == 0.99) | (f == 1.0))
 
     def test_max_iters_label(self, camera, observer):
         report = optimize(camera, observer,
@@ -867,6 +880,26 @@ class TestBasisStartPoint:
         with pytest.raises(NonPositiveFilter, match="feasible basis start point"):
             optimize(camera, observer, cfg, self.step_start(0.97))
         assert outcomes == [False] * 60
+
+    def test_tiny_constant_start_is_the_unit_start(self, camera, observer):
+        # The blend toward the constant filter's fit cancels to c = 0, which
+        # the gauge rejects before the first halving.
+        cfg = OptimizerConfig(method="newton", basis=make_basis("cosine", 8, DEFAULT_GRID))
+        start = FilterSpectrum(grid=DEFAULT_GRID, transmittance=np.full(N, 1e-300),
+                               tau_min=1e-300)
+        assert (_report_digest(optimize(camera, observer, cfg, start))
+                == _report_digest(optimize(camera, observer, cfg)))
+
+    def test_gauge_rejects_what_it_cannot_rescale(self, camera, observer):
+        # No point of the gauge for coefficients whose filter peaks at or
+        # below zero, or not at a finite value, or so low that
+        # tau_max / peak overflows.
+        basis = make_basis("cosine", 8, DEFAULT_GRID)
+        state = _RunState(camera, observer, OptimizerConfig(basis=basis), None)
+        unit = np.eye(basis.size)[0]
+        with np.errstate(all="ignore"):
+            for coeffs in (0.0 * unit, -unit, np.nan * unit, 1e-310 * unit):
+                assert state.gauge(coeffs) is None
 
 
 class TestRandomInstances:

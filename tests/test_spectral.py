@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import cie_csv_text
+from conftest import cie_csv_text, cie_observer
 from vorafilter import (
     DEFAULT_GRID,
     BadBasisSpec,
@@ -220,6 +220,26 @@ class TestSensorSet:
         sensors = load_sensor_set(path)
         assert sensors.channel_names == ("x", "y", "z")
         assert sensors.responses.shape == (31, 3)
+
+    @pytest.mark.parametrize("n", [31, 61, 301, 1201])
+    def test_cie_observer_samples_the_bundled_table(self, n):
+        # Every tier-1 observer comes from cie_observer: on the n-sample
+        # grid it holds the table's 5 nm rows exactly and is linear between.
+        table = parse_spectral_csv(cie_csv_text(), 3)
+        observer = cie_observer(n)
+        lam = observer.grid.wavelengths
+        assert observer.channel_names == ("x", "y", "z")
+        assert lam[0] == 400.0 and lam[-1] == 700.0
+        if n == DEFAULT_GRID.count:
+            assert observer.grid == DEFAULT_GRID
+        rows = np.searchsorted(table.wavelengths, lam)
+        on_row = table.wavelengths[np.minimum(rows, 60)] == lam
+        assert np.count_nonzero(on_row) == min(n, 61)
+        assert np.array_equal(observer.responses[on_row], table.values[rows[on_row]])
+        left, right = rows[~on_row] - 1, rows[~on_row]
+        t = ((lam[~on_row] - table.wavelengths[left]) / 5.0)[:, None]
+        line = (1.0 - t) * table.values[left] + t * table.values[right]
+        assert np.max(np.abs(observer.responses[~on_row] - line), initial=0.0) <= 1e-15
 
     def test_identical_channels_rank_deficient(self, tmp_path):
         lam = DEFAULT_GRID.wavelengths
