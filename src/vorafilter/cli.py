@@ -17,21 +17,24 @@ a command reproduces its CSV/JSON output byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.resources
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .calculus import fd_gradient, fd_hessian, gradient, hessian, make_basis, newton_step
 from .errors import NoAscent, VoraFilterError
-from .optimize import OptimizerConfig, optimize
+from .optimize import _INITS, _METHODS, OptimizerConfig, optimize
 from .spectral import (
     DEFAULT_GRID,
     FilterSpectrum,
     SensorSet,
     WavelengthGrid,
+    _is_integer,
     load_filter_spectrum,
     parse_spectral_csv,
     resample_to_grid,
@@ -67,41 +70,36 @@ _CONFIG_FLAGS = ("method", "alpha", "max_iters", "tol_obj", "tol_grad",
                  "tau_min", "tau_max", "init", "seed")
 
 
-def _read_default_text(filename: str) -> str:
-    data_dir = os.environ.get(DATA_ENV_VAR)
-    if data_dir:
-        with open(os.path.join(data_dir, filename), "r", encoding="utf-8") as fh:
-            return fh.read()
-    return (importlib.resources.files("vorafilter")
-            .joinpath("data", filename).read_text(encoding="utf-8"))
+@contextlib.contextmanager
+def _named(label: str):
+    """Re-raise the block's input error as a VoraFilterError naming ``label``."""
+    try:
+        yield
+    except (VoraFilterError, ValueError) as exc:
+        raise VoraFilterError(f"{label}: {exc}") from exc
 
 
 def _load_sensors(path: str | None, default_file: str,
                   grid: WavelengthGrid) -> SensorSet:
-    label = path if path is not None else f"<default {default_file}>"
-    try:
-        if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = _read_default_text(default_file)
-        table = parse_spectral_csv(text, expected_channels=3)
+    if path is not None:
+        label, source = path, Path(path)
+    else:
+        label = f"<default {default_file}>"
+        data_dir = os.environ.get(DATA_ENV_VAR)
+        source = (Path(data_dir, default_file) if data_dir else
+                  importlib.resources.files("vorafilter").joinpath("data", default_file))
+    with _named(label):
+        table = parse_spectral_csv(source.read_text(encoding="utf-8"), expected_channels=3)
         responses = resample_to_grid(table.wavelengths, table.values, grid)
-        names = table.channel_names
-        return SensorSet(grid=grid, responses=responses,
-                         channel_names=(names[0], names[1], names[2]))
-    except (VoraFilterError, ValueError) as exc:
-        raise VoraFilterError(f"{label}: {exc}") from exc
+        return SensorSet(grid=grid, responses=responses, channel_names=table.channel_names)
 
 
 def _load_filter(path: str, grid: WavelengthGrid) -> FilterSpectrum:
     # Any strictly positive filter is read: the floor is the least positive
     # float and there is no ceiling. A design start outside the optimizer's
     # box is rescaled and clipped into it by the optimizer itself.
-    try:
+    with _named(path):
         return load_filter_spectrum(path, grid, np.nextafter(0.0, 1.0), np.inf)
-    except (VoraFilterError, ValueError) as exc:
-        raise VoraFilterError(f"{path}: {exc}") from exc
 
 
 def _spec_fields(spec: str, name: str, form: str, types: tuple) -> list:
@@ -152,10 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="design a prefilter")
     common(p_opt)
     p_opt.add_argument("--filter", help="initial filter CSV (default: unit filter)")
-    p_opt.add_argument("--method", choices=("grad", "newton"))
+    p_opt.add_argument("--method", choices=_METHODS)
     p_opt.add_argument("--alpha", type=float)
     p_opt.add_argument("--basis", default=None, help="smoothness basis kind:k, e.g. cosine:8")
-    p_opt.add_argument("--init", choices=("ones", "random"))
+    p_opt.add_argument("--init", choices=_INITS)
     p_opt.add_argument("--seed", type=int)
     p_opt.add_argument("--max-iters", type=int)
     p_opt.add_argument("--tol-obj", type=float)
@@ -165,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--out-filter", help="write the designed filter CSV here")
     p_opt.add_argument("--out-trace", help="write the iteration trace CSV here")
     p_opt.add_argument("--out-svg", help="write a line plot (filter + objective) here")
-    p_opt.add_argument("--emit-coeffs", action="store_true",
-                       help="report basis coefficients of the designed filter")
 
     p_check = sub.add_parser("check", help="verify gradients, Hessians, and identities")
     common(p_check)
@@ -187,10 +183,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     filtered = None
     if args.filter:
         filt = _load_filter(args.filter, grid)
-        try:
+        with _named(args.filter):
             filtered = filtered_vora_value(camera, observer, filt)
-        except VoraFilterError as exc:
-            raise VoraFilterError(f"{args.filter}: {exc}") from exc
         payload["filtered_vora_value"] = filtered.raw
     print(f"grid: {grid.start_nm:g}:{grid.step_nm:g}:{grid.count} "
           f"({grid.start_nm:g}-{grid.end_nm:g} nm)")
@@ -265,19 +259,15 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     given = {name: getattr(args, name) for name in _CONFIG_FLAGS
              if getattr(args, name) is not None}
     config = OptimizerConfig(basis=basis, **given)
-    initial = None
-    if args.filter:
-        initial = _load_filter(args.filter, grid)
+    initial = _load_filter(args.filter, grid) if args.filter else None
     report = optimize(camera, observer, config, initial_filter=initial)
 
     if args.out_filter:
         write_filter_csv(args.out_filter, report.final_filter)
     if args.out_trace:
-        with open(args.out_trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_trace_csv(report))
+        Path(args.out_trace).write_text(_trace_csv(report), encoding="utf-8", newline="\n")
     if args.out_svg:
-        with open(args.out_svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_svg_report(report, grid))
+        Path(args.out_svg).write_text(_svg_report(report, grid), encoding="utf-8", newline="\n")
 
     print(f"initial_vora: {report.initial_vora:.12f}")
     print(f"final_vora: {report.final_vora:.12f}")
@@ -290,7 +280,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "termination": report.termination,
         "iterations": report.accepted_steps,
     }
-    if args.emit_coeffs and report.coefficients is not None:
+    if report.coefficients is not None:
         coeffs = [float(c) for c in report.coefficients]
         payload["coefficients"] = coeffs
         print("coefficients: " + ",".join(f"{c:.17g}" for c in coeffs))
@@ -307,6 +297,8 @@ def _rel_err(candidate: np.ndarray, reference: np.ndarray) -> float:
 def run_identity_checks(camera: SensorSet, observer: SensorSet, seed: int,
                         trials: int) -> dict[str, float]:
     """Max observed error per identity over ``trials`` random filters."""
+    if not _is_integer(trials) or trials < 0:
+        raise VoraFilterError("trials must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     grid = camera.grid
     errors = {name: 0.0 for name in CHECK_TOLERANCES}
@@ -349,8 +341,6 @@ def run_identity_checks(camera: SensorSet, observer: SensorSet, seed: int,
 
 def _cmd_check(args: argparse.Namespace) -> int:
     _, camera, observer = _load_inputs(args)
-    if args.trials < 0:
-        raise VoraFilterError("trials must be nonnegative")
     errors = run_identity_checks(camera, observer, args.seed, args.trials)
     all_ok = True
     print(f"{'identity':<22}{'max_error':>14}{'tolerance':>12}  status")

@@ -361,7 +361,9 @@ class _RunState:
 
     def _feasible_coeffs(self, f0: NDArray[np.float64]) -> _Gauged:
         # Blend the fit of f0 toward the constant-filter fit until the
-        # combination is a valid (positive, in-box after gauging) filter.
+        # combination is a valid (positive, in-box after gauging) filter; f0
+        # is first scaled exactly, by a power of two, to peak in [0.5, 1).
+        f0 = np.ldexp(f0, -np.frexp(f0.max())[1])
         fit, *_ = np.linalg.lstsq(self.basis, f0, rcond=None)
         ones_fit, *_ = np.linalg.lstsq(self.basis, np.ones(self.grid.count), rcond=None)
         blend = 1.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -333,12 +334,9 @@ def resample_to_grid(
 def load_sensor_set(path: str | os.PathLike[str],
                     grid: WavelengthGrid = DEFAULT_GRID) -> SensorSet:
     """Read a three-channel spectral CSV and resample it onto ``grid``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        table = parse_spectral_csv(fh.read(), expected_channels=3)
+    table = parse_spectral_csv(Path(path).read_text(encoding="utf-8"), expected_channels=3)
     resampled = resample_to_grid(table.wavelengths, table.values, grid)
-    names = table.channel_names
-    return SensorSet(grid=grid, responses=resampled,
-                     channel_names=(names[0], names[1], names[2]))
+    return SensorSet(grid=grid, responses=resampled, channel_names=table.channel_names)
 
 
 def load_filter_spectrum(path: str | os.PathLike[str],
@@ -346,17 +344,15 @@ def load_filter_spectrum(path: str | os.PathLike[str],
                          tau_min: float = DEFAULT_TAU_MIN,
                          tau_max: float = DEFAULT_TAU_MAX) -> FilterSpectrum:
     """Read a ``wavelength,transmittance`` CSV and resample it onto ``grid``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        table = parse_spectral_csv(fh.read(), expected_channels=1)
+    table = parse_spectral_csv(Path(path).read_text(encoding="utf-8"), expected_channels=1)
     resampled = resample_to_grid(table.wavelengths, table.values, grid)
     return FilterSpectrum(grid=grid, transmittance=resampled[:, 0],
                           tau_min=tau_min, tau_max=tau_max)
 
 
 def write_filter_csv(path: str | os.PathLike[str], filt: FilterSpectrum) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_spectral_csv(filt.grid.wavelengths, filt.transmittance,
-                                     ("transmittance",)))
+    text = format_spectral_csv(filt.grid.wavelengths, filt.transmittance, ("transmittance",))
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def gaussian_camera(grid: WavelengthGrid = DEFAULT_GRID) -> SensorSet:

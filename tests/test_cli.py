@@ -17,13 +17,14 @@ from conftest import cie_csv_text, sabotage_gradient
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
+    VoraFilterError,
     filtered_vora_value,
     format_spectral_csv,
     make_basis,
     optimize,
     vora_value,
 )
-from vorafilter.cli import DEFAULT_CAMERA_FILE, _load_sensors, main
+from vorafilter.cli import DEFAULT_CAMERA_FILE, _load_sensors, main, run_identity_checks
 
 
 @pytest.fixture
@@ -251,7 +252,7 @@ class TestOptimize:
     def test_basis_coefficients_reconstruct_filter(self, capsys, tmp_path):
         out_filter = tmp_path / "filter.csv"
         code = main(["optimize", "--basis", "cosine:8", "--max-iters", "200",
-                     "--emit-coeffs", "--json", "--out-filter", str(out_filter)])
+                     "--json", "--out-filter", str(out_filter)])
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out.splitlines()[-1])
@@ -467,11 +468,16 @@ class TestCheck:
         assert payload["pass"] is True
         assert errors["gradient_vs_fd"] < 5e-8
 
-    def test_negative_trials_exits_2(self, capsys):
+    def test_negative_trials_exits_2(self, capsys, camera, observer):
         code = main(["check", "--trials", "-1"])
         err = capsys.readouterr().err
         assert code == 2
         assert "trials" in err
+        # The library call holds the rule: a negative count or a bool is no
+        # number of trials.
+        for trials in (-1, True):
+            with pytest.raises(VoraFilterError, match="trials"):
+                run_identity_checks(camera, observer, 0, trials)
 
 
 class TestDataEnvVar:

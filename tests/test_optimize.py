@@ -882,13 +882,32 @@ class TestBasisStartPoint:
         assert outcomes == [False] * 60
 
     def test_tiny_constant_start_is_the_unit_start(self, camera, observer):
-        # The blend toward the constant filter's fit cancels to c = 0, which
-        # the gauge rejects before the first halving.
+        # The start is scaled by a power of two before its fit, so a constant
+        # start at 1e-300 is blended at unit scale, as the unit start is.
         cfg = OptimizerConfig(method="newton", basis=make_basis("cosine", 8, DEFAULT_GRID))
         start = FilterSpectrum(grid=DEFAULT_GRID, transmittance=np.full(N, 1e-300),
                                tau_min=1e-300)
-        assert (_report_digest(optimize(camera, observer, cfg, start))
-                == _report_digest(optimize(camera, observer, cfg)))
+        tiny, unit = optimize(camera, observer, cfg, start), optimize(camera, observer, cfg)
+        assert (tiny.termination, tiny.accepted_steps) == (unit.termination, unit.accepted_steps)
+        assert abs(tiny.final_vora - unit.final_vora) <= 1e-15
+        assert np.max(np.abs(tiny.final_filter.transmittance
+                             - unit.final_filter.transmittance)) <= 1e-14
+
+    @pytest.mark.parametrize("kind, k", [("cosine", 8), ("gaussian", 12)])
+    def test_start_scale_does_not_change_the_start(self, camera, observer, kind, k):
+        # A start's shape survives its scale, since the blend toward the
+        # constant filter's fit runs at unit scale whatever s is. The values
+        # differ by the rounding of s * shape, 3 ulps.
+        lam = DEFAULT_GRID.wavelengths
+        shape = 0.6 + 0.3 * np.cos(3.0 * (lam - 400.0) / 300.0)
+        cfg = OptimizerConfig(method="newton", basis=make_basis(kind, k, DEFAULT_GRID),
+                              max_iters=1)
+        values = []
+        for s in (1.0, 1e-15, 1e-17, 1e-100, 1e-300, 2.0 ** -1000):
+            start = FilterSpectrum(grid=DEFAULT_GRID, transmittance=s * shape,
+                                   tau_min=s * shape.min(), tau_max=s * shape.max())
+            values.append(optimize(camera, observer, cfg, start).initial_vora)
+        assert max(values) - min(values) <= 1e-15
 
     def test_gauge_rejects_what_it_cannot_rescale(self, camera, observer):
         # No point of the gauge for coefficients whose filter peaks at or
@@ -918,16 +937,3 @@ class TestRandomInstances:
                 assert all(b >= a for a, b in zip(voras, voras[1:]))
             assert grad_rep.final_vora > grad_rep.initial_vora + 1e-6
             assert newton_rep.final_vora > newton_rep.initial_vora + 1e-6
-
-
-class TestGridMismatch:
-    def test_mixed_grids_rejected(self, camera, observer):
-        from vorafilter import GridMismatch, WavelengthGrid
-        other = WavelengthGrid(400.0, 10.0, 30)
-        filt = FilterSpectrum(grid=other, transmittance=np.ones(30))
-        with pytest.raises(GridMismatch):
-            newton_step(camera, observer, filt, 1e-4)
-        with pytest.raises(GridMismatch):
-            gradient(camera, observer, filt)
-        with pytest.raises(GridMismatch):
-            optimize(camera, observer, initial_filter=filt)

@@ -1,16 +1,20 @@
-"""Property tests: the factored derivative operator, the floating-point rule
-and the CSV round trip.
+"""Property tests: the factored derivative operator, the floating-point rule,
+the CSV round trip and the CLI's reading of CSV files.
 
 For the operator, hypothesis draws the grid size, two random three-lobe
 cameras (one serves as the observer) and a filter with some entries at the
 transmittance floor ``tau_min``. For the floating-point rule it draws filters
 at every scale of the float64 range, down to the subnormals. For the CSV
-format it draws tables of arbitrary finite floats. The examples are
-derandomized, so every run checks the same ones.
+format it draws tables of arbitrary finite floats. For the CLI it draws the
+bytes of an input file, well formed or not. The examples are derandomized,
+so every run checks the same ones.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import warnings
 
 import numpy as np
@@ -23,7 +27,9 @@ from vorafilter import (DEFAULT_GRID, FilterSpectrum, VoraFilterError, Wavelengt
                         gradient_in_basis, hessian, hessian_in_basis, make_basis,
                         newton_step, parse_spectral_csv)
 from vorafilter.calculus import _hessian_factors, _projected_observer
+from vorafilter.cli import main
 from vorafilter.projectors import orthonormal_columns
+from vorafilter.vora import RANGE_TOL
 
 TAU_MIN = 1e-4
 
@@ -138,3 +144,101 @@ def test_csv_round_trip_is_bit_exact(table):
         assert parsed.wavelengths.tobytes() == w.tobytes()
         assert parsed.values.tobytes() == values.tobytes()
         assert parsed.channel_names == tuple(names)
+
+
+# The magnitudes of a generated file: its cells at one scale from the least
+# subnormal to near the float maximum, or each cell at its own scale.
+scales = st.one_of(st.none(), st.floats(min_value=5e-324, max_value=1.7e308))
+magnitudes = st.floats(min_value=5e-324, max_value=1.7e308)
+# Odd cells, a fault: zeros, negatives, non-finite, empty or non-numeric.
+odd_cells = st.sampled_from(["0", "-0.0", "-1", "-3e-200", "nan", "inf", "-inf", "", "x",
+                             "1e", "0x10"])
+# 0-12 wavelengths in 380-720 nm: the default grid's ends, or points beyond
+# them, are often among them, so that many tables cover the 400-700 nm grid.
+# The duplicate fault repeats the first.
+wavelengths = st.tuples(st.sampled_from([[400.0], [380.0], []]),
+                        st.lists(st.floats(min_value=380.0, max_value=720.0), max_size=10),
+                        st.sampled_from([[700.0], [720.0], []])).map(lambda t: sum(t, []))
+plain_names = st.sampled_from(["r", "g", "b", "t"])
+odd_names = st.text(alphabet="rgb ,#\n\r\t", max_size=4)
+
+
+@st.composite
+def csv_files(draw, channels: int) -> bytes:
+    """A spectral CSV of sorted rows with ``channels`` value columns,
+    perhaps behind a byte-order mark, and with up to two faults: odd cells,
+    duplicate wavelengths, ragged rows, names holding separators, or
+    trailing non-UTF-8 bytes. Many files have none, and are valued."""
+    faults = draw(st.sets(st.sampled_from(["cells", "duplicates", "ragged", "names", "tail"]),
+                          max_size=2))
+    scale = draw(scales)
+    number = (magnitudes if scale is None
+              else st.floats(min_value=0.1, max_value=1.0).map(lambda u: scale * u))
+    cell = st.one_of(number.map(repr), odd_cells) if "cells" in faults else number.map(repr)
+    arity = st.sampled_from([0] * 8 + [-1, 1]) if "ragged" in faults else st.just(0)
+    name = odd_names if "names" in faults else plain_names
+    lines = ["wavelength," + ",".join(draw(name) for _ in range(channels))]
+    rows = draw(wavelengths)
+    rows = rows + rows[:1] if "duplicates" in faults else set(rows)
+    for w in sorted(rows):
+        lines.append(",".join([repr(w)] + [draw(cell) for _ in range(channels + draw(arity))]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + "\n".join(lines) + "\n"
+    tail = st.sampled_from([b"\xff", b"\xc3", b"\x80\xfe"]) if "tail" in faults else st.just(b"")
+    return text.encode("utf-8") + draw(tail)
+
+
+input_files = st.sampled_from([("--camera", 3), ("--observer", 3), ("--filter", 1)]).flatmap(
+    lambda spec: st.tuples(st.just(spec[0]), csv_files(spec[1])))
+
+
+def _rows(*rows: str, header: str = "wavelength,t") -> bytes:
+    return ("\n".join((header,) + rows) + "\n").encode("utf-8")
+
+
+_CAMERA = "wavelength,r,g,b"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(case=input_files)
+# The CSV inputs that once broke the contract: a filter at 1.7e308 against
+# the bundled camera (the QR's column norms overflow) and a camera at 1.7e308,
+# entries of 1e-13 and 1e-160, a percent filter, a non-finite cell, a file
+# that does not decode, and names with a comma, a '#', edge whitespace or a
+# line break, behind a byte-order mark.
+@example(case=("--filter", _rows("400,1.7e308", "700,1.7e308")))
+@example(case=("--camera", _rows("400,1.7e308,0,0", "550,0,1.7e308,0", "700,0,0,1.7e308",
+                                 header=_CAMERA)))
+@example(case=("--filter", _rows("400,1", "550,1e-13", "700,1")))
+@example(case=("--filter", _rows("400,1e-160", "700,1e-160")))
+@example(case=("--filter", _rows("400,50", "700,100")))
+@example(case=("--filter", _rows("400,1", "550,nan", "700,1")))
+@example(case=("--observer", _rows("400,1,0,0", "550,0,1,0", "700,0,0,1",
+                                   header=_CAMERA) + b"\xff"))
+@example(case=("--camera", b"\xef\xbb\xbf" + _rows("400,1,0,0", "550,0,1,0", "700,0,0,1",
+                                                  header="wavelength, r#,g ,b")))
+@example(case=("--camera", _rows("400,1,0,0", "700,0,1,1", header="wavelength,r,g,b\nb")))
+@example(case=("--camera", _rows("400,1,0,0", "700,0,1,1", header="wavelength,r,\"g,b\",b")))
+def test_cli_reads_any_file_or_names_it(tmp_path_factory, case):
+    # Under warnings as errors, `evaluate` on a generated file exits 0 with
+    # values in [0, 1], or 2 with one stderr line that names the file; no
+    # exception escapes. The JSON line carries the raw values, in [0, 1]
+    # up to the range check's slack.
+    flag, data = case
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["evaluate", flag, str(path), "--json"])
+    if code == 2:
+        assert err.getvalue().startswith(f"error: {path}: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        return
+    assert code == 0 and err.getvalue() == ""
+    *lines, payload = out.getvalue().splitlines()
+    printed = [float(line.split(": ")[1]) for line in lines if "vora_value: " in line]
+    raw = [v for k, v in json.loads(payload).items() if k.endswith("vora_value")]
+    assert len(printed) == len(raw) == (2 if flag == "--filter" else 1)
+    assert all(0.0 <= v <= 1.0 for v in printed)
+    assert all(-RANGE_TOL <= v <= 1.0 + RANGE_TOL for v in raw)
