@@ -22,6 +22,7 @@ import importlib.resources
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -64,30 +65,31 @@ CHECK_TOLERANCES = {
     "newton_degeneracy": 1e-4,
 }
 _PD_ALPHAS = (1e-6, 1e-4, 1e-2)
-# ``optimize`` flags that set the OptimizerConfig field of the same name;
-# one left out keeps that field's default.
-_CONFIG_FLAGS = ("method", "alpha", "max_iters", "tol_obj", "tol_grad",
-                 "tau_min", "tau_max", "init", "seed")
+# Every OptimizerConfig field but ``basis`` is an ``optimize`` flag of its
+# name and its default's type; a flag left out keeps that default.
+_CONFIG_FIELDS = tuple(f for f in fields(OptimizerConfig) if f.name != "basis")
 
 
 @contextlib.contextmanager
 def _named(label: str):
-    """Re-raise the block's input error as a VoraFilterError naming ``label``."""
+    """Re-raise the block's input or file error as a VoraFilterError naming
+    ``label``; an OSError gives its reason alone, as its text repeats the path."""
     try:
         yield
-    except (VoraFilterError, ValueError) as exc:
-        raise VoraFilterError(f"{label}: {exc}") from exc
+    except (VoraFilterError, ValueError, OSError) as exc:
+        raise VoraFilterError(f"{label}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _load_sensors(path: str | None, default_file: str,
                   grid: WavelengthGrid) -> SensorSet:
+    data_dir = os.environ.get(DATA_ENV_VAR)
+    if path is None and data_dir:
+        path = str(Path(data_dir, default_file))
     if path is not None:
         label, source = path, Path(path)
     else:
         label = f"<default {default_file}>"
-        data_dir = os.environ.get(DATA_ENV_VAR)
-        source = (Path(data_dir, default_file) if data_dir else
-                  importlib.resources.files("vorafilter").joinpath("data", default_file))
+        source = importlib.resources.files("vorafilter").joinpath("data", default_file)
     with _named(label):
         table = parse_spectral_csv(source.read_text(encoding="utf-8"), expected_channels=3)
         responses = resample_to_grid(table.wavelengths, table.values, grid)
@@ -150,16 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="design a prefilter")
     common(p_opt)
     p_opt.add_argument("--filter", help="initial filter CSV (default: unit filter)")
-    p_opt.add_argument("--method", choices=_METHODS)
-    p_opt.add_argument("--alpha", type=float)
+    for spec in _CONFIG_FIELDS:
+        p_opt.add_argument("--" + spec.name.replace("_", "-"), type=type(spec.default),
+                           choices={"method": _METHODS, "init": _INITS}.get(spec.name))
     p_opt.add_argument("--basis", default=None, help="smoothness basis kind:k, e.g. cosine:8")
-    p_opt.add_argument("--init", choices=_INITS)
-    p_opt.add_argument("--seed", type=int)
-    p_opt.add_argument("--max-iters", type=int)
-    p_opt.add_argument("--tol-obj", type=float)
-    p_opt.add_argument("--tol-grad", type=float)
-    p_opt.add_argument("--tau-min", type=float)
-    p_opt.add_argument("--tau-max", type=float)
     p_opt.add_argument("--out-filter", help="write the designed filter CSV here")
     p_opt.add_argument("--out-trace", help="write the iteration trace CSV here")
     p_opt.add_argument("--out-svg", help="write a line plot (filter + objective) here")
@@ -256,18 +252,21 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     grid, camera, observer = _load_inputs(args)
     basis = _parse_basis(args.basis, grid) if args.basis else None
-    given = {name: getattr(args, name) for name in _CONFIG_FLAGS
-             if getattr(args, name) is not None}
+    given = {spec.name: getattr(args, spec.name) for spec in _CONFIG_FIELDS
+             if getattr(args, spec.name) is not None}
     config = OptimizerConfig(basis=basis, **given)
     initial = _load_filter(args.filter, grid) if args.filter else None
     report = optimize(camera, observer, config, initial_filter=initial)
 
     if args.out_filter:
-        write_filter_csv(args.out_filter, report.final_filter)
+        with _named(args.out_filter):
+            write_filter_csv(args.out_filter, report.final_filter)
     if args.out_trace:
-        Path(args.out_trace).write_text(_trace_csv(report), encoding="utf-8", newline="\n")
+        with _named(args.out_trace):
+            Path(args.out_trace).write_text(_trace_csv(report), encoding="utf-8", newline="\n")
     if args.out_svg:
-        Path(args.out_svg).write_text(_svg_report(report, grid), encoding="utf-8", newline="\n")
+        with _named(args.out_svg):
+            Path(args.out_svg).write_text(_svg_report(report, grid), encoding="utf-8", newline="\n")
 
     print(f"initial_vora: {report.initial_vora:.12f}")
     print(f"final_vora: {report.final_vora:.12f}")
@@ -297,8 +296,9 @@ def _rel_err(candidate: np.ndarray, reference: np.ndarray) -> float:
 def run_identity_checks(camera: SensorSet, observer: SensorSet, seed: int,
                         trials: int) -> dict[str, float]:
     """Max observed error per identity over ``trials`` random filters."""
-    if not _is_integer(trials) or trials < 0:
-        raise VoraFilterError("trials must be a nonnegative integer")
+    for name, count in (("trials", trials), ("seed", seed)):
+        if not _is_integer(count) or count < 0:
+            raise VoraFilterError(f"{name} must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     grid = camera.grid
     errors = {name: 0.0 for name in CHECK_TOLERANCES}
@@ -312,30 +312,24 @@ def run_identity_checks(camera: SensorSet, observer: SensorSet, seed: int,
         g_fd = fd_gradient(lambda p: filtered_vora_value(camera, observer, p), filt)
         h_fd = fd_hessian(lambda p: gradient(camera, observer, p), filt)
 
-        errors["gradient_vs_fd"] = max(errors["gradient_vs_fd"], _rel_err(g, g_fd))
-        errors["hessian_vs_fd"] = max(errors["hessian_vs_fd"], _rel_err(h0, h_fd))
         g_norm = float(np.linalg.norm(g)) or 1.0
         f_norm = float(np.linalg.norm(f))
-        errors["orthogonality"] = max(errors["orthogonality"],
-                                      abs(float(f @ g)) / (f_norm * g_norm))
-        errors["hessian_gradient"] = max(errors["hessian_gradient"],
-                                         float(np.max(np.abs(g + h0 @ f))))
-        pd_err = max(abs(float(f @ ((h0 + alpha * np.eye(grid.count)) @ f))
-                         - alpha * float(f @ f))
-                     for alpha in _PD_ALPHAS)
-        errors["positive_definite"] = max(errors["positive_definite"], pd_err)
-
         alpha = 1e-4
         step = newton_step(camera, observer, filt, alpha)
         closed = np.linalg.solve(h0 + alpha * np.eye(grid.count),
                                  (h0 - alpha * np.eye(grid.count)) @ f)
-        errors["newton_closed_form"] = max(
-            errors["newton_closed_form"],
-            float(np.linalg.norm(step - closed) / np.linalg.norm(step)))
-
         tiny = newton_step(camera, observer, filt, 1e-12)
-        cos = float(tiny @ f / (np.linalg.norm(tiny) * np.linalg.norm(f)))
-        errors["newton_degeneracy"] = max(errors["newton_degeneracy"], 1.0 - cos)
+        trial = {
+            "gradient_vs_fd": _rel_err(g, g_fd),
+            "hessian_vs_fd": _rel_err(h0, h_fd),
+            "orthogonality": abs(float(f @ g)) / (f_norm * g_norm),
+            "hessian_gradient": float(np.max(np.abs(g + h0 @ f))),
+            "positive_definite": max(abs(float(f @ ((h0 + a * np.eye(grid.count)) @ f))
+                                         - a * float(f @ f)) for a in _PD_ALPHAS),
+            "newton_closed_form": float(np.linalg.norm(step - closed) / np.linalg.norm(step)),
+            "newton_degeneracy": 1.0 - float(tiny @ f / (np.linalg.norm(tiny) * f_norm)),
+        }
+        errors = {name: max(errors[name], trial[name]) for name in errors}
     return errors
 
 

@@ -413,10 +413,6 @@ class _RunState:
         # The stored value is the objective at f, so nothing is re-evaluated.
         return self.value + 0.5 * self.config.alpha * float(self.f @ self.f)
 
-    @property
-    def coefficients(self) -> NDArray[np.float64] | None:
-        return None if self.basis is None else self.x.copy()
-
     def _frozen(self, g: NDArray[np.float64]) -> NDArray[np.bool_]:
         """Filter components on a bound of the box whose gradient points out."""
         cfg = self.config
@@ -560,9 +556,10 @@ class _RunState:
         return steer, solve
 
     def trust_region(self, solve: Callable[[float], tuple[NDArray[np.float64], float]]):
-        """First trust-region step that strictly increases the objective, as
-        (x, f, w, value, step_len, rejected trials) with ``w`` the basis that
-        valued it; None if there is none."""
+        """Take the first trust-region step that strictly increases the
+        objective: commit its iterate, filter, basis and value, and return
+        (gain, step_len, rejected trials). None, with the state unchanged,
+        if there is none."""
         x_norm = float(np.linalg.norm(self.x))
         radius = self.radius * x_norm
         for rejected in range(_MAX_BACKTRACKS):
@@ -578,8 +575,10 @@ class _RunState:
             elif ratio > _RATIO_HIGH:
                 radius = min(max(radius, 2.0 * step_len), _RADIUS_MAX * x_norm)
             if v_t > self.value:
+                gain = v_t - self.value
                 self.radius = radius / x_norm
-                return *gauged, w_t, v_t, step_len, rejected
+                (self.x, self.f), self.w, self.value = gauged, w_t, v_t
+                return gain, step_len, rejected
         return None
 
 
@@ -631,8 +630,7 @@ def optimize(camera: SensorSet, observer: SensorSet,
                 termination = "converged_obj"
             break
 
-        gain = best[3] - state.value
-        state.x, state.f, state.w, state.value, step_len, backtracks = best
+        gain, step_len, backtracks = best
         rows.append(IterationRecord(it, state.value, state.mu(), step_len, grad_norm,
                                     backtracks))
         small_steps = small_steps + 1 if gain < cfg.tol_obj else 0
@@ -648,5 +646,5 @@ def optimize(camera: SensorSet, observer: SensorSet,
         initial_vora=initial_vora,
         final_vora=state.value,
         termination=termination,
-        coefficients=state.coefficients,
+        coefficients=None if state.basis is None else state.x,
     )

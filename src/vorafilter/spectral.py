@@ -219,12 +219,10 @@ def parse_spectral_csv(text: str, expected_channels: int) -> SpectralTable:
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
+        if len(fields) != expected_channels + 1:
+            raise MalformedCsv(f"line {lineno}: {'header' if header is None else 'row'} "
+                               f"has {len(fields)} columns, expected {expected_channels + 1}")
         if header is None:
-            if len(fields) != expected_channels + 1:
-                raise MalformedCsv(
-                    f"line {lineno}: header has {len(fields)} columns, "
-                    f"expected {expected_channels + 1}"
-                )
             if fields[0].lower() != "wavelength":
                 raise MalformedCsv(
                     f"line {lineno}: first header column must be 'wavelength', "
@@ -232,11 +230,6 @@ def parse_spectral_csv(text: str, expected_channels: int) -> SpectralTable:
                 )
             header = fields
             continue
-        if len(fields) != expected_channels + 1:
-            raise MalformedCsv(
-                f"line {lineno}: row has {len(fields)} columns, "
-                f"expected {expected_channels + 1}"
-            )
         try:
             numbers = [float(f) for f in fields]
         except ValueError as exc:
@@ -265,6 +258,25 @@ def parse_spectral_csv(text: str, expected_channels: int) -> SpectralTable:
     )
 
 
+def _table_columns(wavelengths: NDArray[np.float64], values: NDArray[np.float64]
+                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """A table's wavelengths and value columns, checked as :func:`parse_spectral_csv`
+    checks its rows: at least one, finite, wavelengths strictly increasing."""
+    w = np.asarray(wavelengths, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim == 1:
+        v = v[:, None]
+    if w.ndim != 1 or v.shape[0] != w.shape[0]:
+        raise ValueError("values rows must match wavelengths")
+    if w.size == 0:
+        raise ValueError("no source samples to resample")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        raise ValueError("source wavelengths and values must be finite")
+    if np.any(np.diff(w) <= 0):
+        raise UnsortedWavelength("source wavelengths must be strictly increasing")
+    return w, v
+
+
 def format_spectral_csv(
     wavelengths: NDArray[np.float64],
     values: NDArray[np.float64],
@@ -273,14 +285,9 @@ def format_spectral_csv(
     """Render a spectral table as CSV text; numeric round trip is exact.
 
     Values are written with 17 significant digits, which reproduces every
-    float64 bit-for-bit when parsed back.
+    float64 bit-for-bit when parsed back; a table the parser rejects raises.
     """
-    w = np.asarray(wavelengths, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[0] != w.shape[0]:
-        raise ValueError("values rows must match wavelengths")
+    w, v = _table_columns(wavelengths, values)
     if len(channel_names) != v.shape[1]:
         raise ValueError(f"{len(channel_names)} channel names for {v.shape[1]} value columns")
     for name in channel_names:
@@ -307,18 +314,7 @@ def resample_to_grid(
     Raises :class:`InsufficientCoverage` if the grid extends beyond the
     source range; data outside the grid is simply unused.
     """
-    w = np.asarray(wavelengths, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
-    if w.ndim != 1 or v.shape[0] != w.shape[0]:
-        raise ValueError("values rows must match wavelengths")
-    if w.size == 0:
-        raise ValueError("no source samples to resample")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
-        raise ValueError("source wavelengths and values must be finite")
-    if np.any(np.diff(w) <= 0):
-        raise UnsortedWavelength("source wavelengths must be strictly increasing")
+    w, v = _table_columns(wavelengths, values)
     if grid.start_nm < w[0] - _COVERAGE_EPS or grid.end_nm > w[-1] + _COVERAGE_EPS:
         raise InsufficientCoverage(
             f"grid [{grid.start_nm:g}, {grid.end_nm:g}] nm not covered by "

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import cie_csv_text, sabotage_gradient
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
+    OptimizerConfig,
     VoraFilterError,
     filtered_vora_value,
     format_spectral_csv,
@@ -24,6 +26,7 @@ from vorafilter import (
     optimize,
     vora_value,
 )
+from vorafilter import cli
 from vorafilter.cli import DEFAULT_CAMERA_FILE, _load_sensors, main, run_identity_checks
 
 
@@ -63,11 +66,21 @@ class TestEvaluate:
         assert payload["schema_version"] == "1"
         assert payload["vora_value"] == expected
 
-    def test_missing_file_exits_2_and_names_path(self, capsys):
+    def test_missing_file_exits_2_and_names_path(self, capsys, tmp_path):
         code = main(["evaluate", "--camera", "/nonexistent/cam.csv"])
         err = capsys.readouterr().err
         assert code == 2
         assert "/nonexistent/cam.csv" in err
+        # Any file that cannot be read or written is named once, with the
+        # reason: a directory given as input, and each output in a missing one.
+        cases = [(["evaluate", "--camera", str(tmp_path)], tmp_path, "Is a directory")]
+        for flag in ("--out-filter", "--out-trace", "--out-svg"):
+            path = tmp_path / "missing" / "out"
+            cases.append((["optimize", "--max-iters", "1", flag, str(path)], path,
+                          "No such file or directory"))
+        for argv, path, reason in cases:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     def test_malformed_csv_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -344,6 +357,26 @@ class TestOptimize:
         assert payload["iterations"] == report.accepted_steps
         assert payload["termination"] == report.termination
 
+    def test_each_flag_sets_its_config_field(self, monkeypatch):
+        # Every OptimizerConfig field but basis is a flag of its name, and a
+        # value off its default reaches the config as given.
+        given = {"method": "newton", "alpha": 1e-3, "max_iters": 2, "tol_obj": 1e-9,
+                 "tol_grad": 1e-7, "tau_min": 1e-3, "tau_max": 0.9, "init": "random",
+                 "seed": 5}
+        assert set(given) == {spec.name for spec in fields(OptimizerConfig)} - {"basis"}
+        assert all(value != getattr(OptimizerConfig(), name) for name, value in given.items())
+        configs = []
+
+        def recorded(camera, observer, config, **kwargs):
+            configs.append(config)
+            return optimize(camera, observer, config, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize", recorded)
+        argv = ["optimize"] + [f"--{name.replace('_', '-')}={value}"
+                               for name, value in given.items()]
+        assert main(argv) == 0
+        assert configs == [OptimizerConfig(**given)]
+
     @pytest.mark.parametrize("flag, spec", [("--grid", "400:10"),
                                             ("--grid", "400:x:31"),
                                             ("--basis", "cosine"),
@@ -473,11 +506,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert code == 2
         assert "trials" in err
+        assert main(["check", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
         # The library call holds the rule: a negative count or a bool is no
-        # number of trials.
-        for trials in (-1, True):
+        # number of trials, and no seed.
+        for bad in (-1, True):
             with pytest.raises(VoraFilterError, match="trials"):
-                run_identity_checks(camera, observer, 0, trials)
+                run_identity_checks(camera, observer, 0, bad)
+            with pytest.raises(VoraFilterError, match="seed"):
+                run_identity_checks(camera, observer, bad, 1)
 
 
 class TestDataEnvVar:
@@ -502,6 +539,9 @@ class TestDataEnvVar:
         monkeypatch.setenv("VORA_FILTER_DATA", str(tmp_path / "nope"))
         code = main(["evaluate"])
         assert code == 2
+        # The label is the file read, not the bundled one it stands in for.
+        missing = tmp_path / "nope" / DEFAULT_CAMERA_FILE
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("argv", [["evaluate", "--json"], ["optimize", "--basis", "identity:8"]])

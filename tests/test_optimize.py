@@ -29,7 +29,7 @@ from vorafilter import (
     optimize,
     vora_value,
 )
-from vorafilter.vora import _filtered_basis
+from vorafilter.vora import _filtered_basis, _vora_of_bases
 from vorafilter.calculus import _dense_operator, _hessian_diagonal, _projected_observer
 from vorafilter.optimize import (
     _RADIUS_INIT,
@@ -311,6 +311,32 @@ class TestTrustRegionNewton:
                                 OptimizerConfig(method="newton", init="random", seed=2))
         assert any(row.backtracks for row in random_start.iterations)  # and cut
 
+    @pytest.mark.parametrize("basis", [None, "cosine"])
+    def test_trust_region_commits_the_step_it_takes(self, camera, observer, basis):
+        # The accepted iterate, its filter, its basis and its value are the
+        # state's, and the gain is the value's rise.
+        cfg = OptimizerConfig(method="newton",
+                              basis=None if basis is None else make_basis(basis, 8, DEFAULT_GRID))
+        state = _RunState(camera, observer, cfg, None)
+        before = state.value
+        gain, step_len, rejected = state.trust_region(state.trust_subproblem()[1])
+        assert gain > 0.0 and step_len > 0.0 and rejected == 0
+        assert state.value - before == gain
+        f = state.x if basis is None else state.basis @ state.x
+        assert state.f.tobytes() == f.tobytes()
+        assert state.w.tobytes() == _filtered_basis(camera, state.f).tobytes()
+        assert state.value == _vora_of_bases(state.w, state.v)
+
+    def test_trust_region_without_a_step_leaves_the_state(self, camera, observer):
+        state = _RunState(camera, observer, OptimizerConfig(method="newton"), None)
+        before = (state.x.copy(), state.f.copy(), state.w.copy(), state.value, state.radius)
+        # A model that predicts no gain rejects every step untried.
+        assert state.trust_region(lambda radius: (np.zeros_like(state.x), 0.0)) is None
+        assert state.x.tobytes() == before[0].tobytes()
+        assert state.f.tobytes() == before[1].tobytes()
+        assert state.w.tobytes() == before[2].tobytes()
+        assert (state.value, state.radius) == before[3:]
+
     @pytest.mark.parametrize("seed", [1, 7])
     def test_converges_with_an_active_floor(self, observer, seed):
         # A high floor: at the optimum many components sit on tau_min and
@@ -588,19 +614,6 @@ class TestOptimizeColorimetric:
 
 
 class TestOptimizeEfficacy:
-    def test_gradient_method_improves(self, pinned_runs):
-        report = pinned_runs["grad"]
-        assert report.final_vora - report.initial_vora >= 1e-4
-
-    def test_newton_method_improves(self, pinned_runs):
-        report = pinned_runs["newton"]
-        assert report.final_vora - report.initial_vora >= 1e-4
-
-    def test_traces_are_monotone(self, pinned_runs):
-        for report in pinned_runs.values():
-            voras = [row.vora for row in report.iterations]
-            assert all(b >= a - 1e-14 for a, b in zip(voras, voras[1:]))
-
     def test_newton_reaches_gradient_plateau_in_fifth_of_iterations(self, pinned_runs):
         grad_report = pinned_runs["grad"]
         newton_report = pinned_runs["newton"]

@@ -1,13 +1,14 @@
 """Property tests: the factored derivative operator, the floating-point rule,
-the CSV round trip and the CLI's reading of CSV files.
+the CSV round trip, the CLI's reading of CSV files and its command lines.
 
 For the operator, hypothesis draws the grid size, two random three-lobe
 cameras (one serves as the observer) and a filter with some entries at the
 transmittance floor ``tau_min``. For the floating-point rule it draws filters
 at every scale of the float64 range, down to the subnormals. For the CSV
-format it draws tables of arbitrary finite floats. For the CLI it draws the
-bytes of an input file, well formed or not. The examples are derandomized,
-so every run checks the same ones.
+format it draws tables of arbitrary finite floats, some with one fault. For
+the CLI it draws the bytes of an input file, well formed or not, and command
+lines with any flag values. The examples are derandomized, so every run
+checks the same ones.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -125,20 +127,52 @@ def test_every_call_is_finite_or_raises_typed(camera, observer, exponent, mantis
 extremes = st.sampled_from([5e-324, -2.2250738585072014e-308, 1e-300, 0.1,
                             1e300, -1.7976931348623157e308])
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), extremes)
-tables = st.integers(min_value=1, max_value=4).flatmap(lambda k: st.tuples(
-    st.lists(finite, min_size=1, max_size=12, unique=True).map(sorted),
-    st.lists(st.text("abcxyzXYZ019_-.", min_size=1, max_size=8), min_size=k, max_size=k),
-    st.lists(st.lists(finite, min_size=k, max_size=k), min_size=12, max_size=12),
-))
+# A table's one fault, if any: a non-finite cell, two wavelengths out of
+# order, a repeated row or no rows.
+table_faults = st.sampled_from([None] * 6 + ["nan", "inf", "-inf", "unsorted", "repeated",
+                                             "empty"])
+
+
+@st.composite
+def tables(draw):
+    """(fault, wavelengths, values, channel names): a table of sorted,
+    distinct wavelengths and finite values, then its fault."""
+    fault, k = draw(table_faults), draw(st.integers(min_value=1, max_value=4))
+    w = sorted(draw(st.lists(finite, min_size=2 if fault == "unsorted" else 1, max_size=12,
+                             unique=True)))
+    rows = draw(st.lists(st.lists(finite, min_size=k, max_size=k),
+                         min_size=len(w), max_size=len(w)))
+    names = draw(st.lists(st.text("abcxyzXYZ019_-.", min_size=1, max_size=8),
+                          min_size=k, max_size=k))
+    i = draw(st.integers(min_value=0, max_value=len(w) - 2 if fault == "unsorted" else len(w) - 1))
+    if fault in ("nan", "inf", "-inf"):
+        j = draw(st.integers(min_value=0, max_value=k))
+        if j == 0:
+            w[i] = float(fault)
+        else:
+            rows[i][j - 1] = float(fault)
+    elif fault == "unsorted":
+        w[i], w[i + 1] = w[i + 1], w[i]
+    elif fault == "repeated":
+        w.insert(i, w[i])
+        rows.insert(i, rows[i])
+    elif fault == "empty":
+        w, rows = [], []
+    return fault, np.array(w), np.array(rows).reshape(len(w), k), names
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
-@given(tables)
+@given(tables())
+# Zero rows, which the derandomized draws do not reach.
+@example(("empty", np.array([]), np.empty((0, 2)), ["a", "b"]))
 def test_csv_round_trip_is_bit_exact(table):
-    wavelengths, names, rows = table
-    w = np.array(wavelengths)
-    values = np.array(rows[:w.size])
-    text = format_spectral_csv(w, values, names)
+    # The writer raises on a table the parser rejects, and on no other.
+    fault, w, values, names = table
+    try:
+        text = format_spectral_csv(w, values, names)
+    except (ValueError, VoraFilterError):
+        assert fault is not None
+        return
     for source in (text, "\ufeff" + text):
         parsed = parse_spectral_csv(source, expected_channels=len(names))
         assert parsed.wavelengths.tobytes() == w.tobytes()
@@ -242,3 +276,92 @@ def test_cli_reads_any_file_or_names_it(tmp_path_factory, case):
     assert len(printed) == len(raw) == (2 if flag == "--filter" else 1)
     assert all(0.0 <= v <= 1.0 for v in printed)
     assert all(-RANGE_TOL <= v <= 1.0 + RANGE_TOL for v in raw)
+
+
+# Command lines: each command on a grid of 4-61 samples, with any of its
+# flags. Each flag's value is drawn from the values it takes, except for up
+# to two flags per command line, drawn wild: numbers at the float64 extremes
+# or not finite, negative counts and seeds, an unknown basis kind or a size
+# out of range. ``--max-iters`` is capped at 15 so that no run goes to the
+# default budget.
+specials = st.sampled_from([5e-324, 0.0, -1.0, math.nan, math.inf, -math.inf])
+wild_reals = st.one_of(st.floats(), specials)
+
+
+def command_flags(n: int) -> dict:
+    """Each command's flags as (values it takes, wild values) on an n-sample grid."""
+    reals = (st.floats(min_value=0.0, max_value=1.0), wild_reals)
+    seeds = (st.integers(min_value=0, max_value=2**32), st.integers(min_value=-1, max_value=0))
+    kinds = st.sampled_from(["cosine", "gaussian"])
+    return {
+        "evaluate": {},
+        "optimize": {
+            "--max-iters": (st.integers(min_value=1, max_value=15),
+                            st.integers(min_value=-1, max_value=0)),
+            "--method": (st.sampled_from(["grad", "newton"]), st.just("gauss")),
+            "--alpha": reals, "--tol-obj": reals, "--tol-grad": reals,
+            "--tau-min": (st.floats(min_value=5e-324, max_value=0.5), wild_reals),
+            "--tau-max": (st.floats(min_value=0.5, max_value=1.0, exclude_min=True), wild_reals),
+            "--basis": (st.tuples(kinds, st.integers(min_value=1, max_value=min(n, 40))),
+                        st.tuples(st.sampled_from(["cosine", "gaussian", "identity"]),
+                                  st.integers(min_value=0, max_value=40))),
+            "--init": (st.just("random"), st.just("zeros")),
+            "--seed": seeds,
+        },
+        "check": {"--trials": (st.integers(min_value=0, max_value=3), st.just(-1)),
+                  "--seed": seeds},
+    }
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(["evaluate", "optimize", "check"]))
+    n = draw(st.integers(min_value=4, max_value=61))
+    argv = [command, f"--grid=400:{300.0 / (n - 1)!r}:{n}"]
+    if draw(st.booleans()):
+        argv.append("--json")
+    flags = command_flags(n)[command]
+    wild = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2)) if flags else set()
+    for flag, (values, wild_values) in flags.items():
+        if flag in wild:
+            value = draw(wild_values)
+        elif flag == "--max-iters" or draw(st.booleans()):
+            value = draw(values)
+        else:
+            continue
+        argv.append(f"{flag}={':'.join(map(str, value)) if flag == '--basis' else value}")
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(argv=command_lines())
+# Command lines that once broke the contract: a floor of 1e-200 and an
+# unknown basis kind, and a negative count of trials and seed.
+@example(argv=["optimize", "--tau-min", "1e-200"])
+@example(argv=["optimize", "--basis", "identity:8"])
+@example(argv=["check", "--trials", "-1"])
+@example(argv=["check", "--seed", "-1"])
+def test_cli_exits_with_a_contract_code(argv):
+    # Under warnings as errors, `main(argv)` exits 0, 2, 3 or 4 and no
+    # exception escapes; argparse's exit counts as the code. Exit 2 ends
+    # stderr with an error line, and exit 0 prints every value in [0, 1]
+    # (the JSON line's raw values up to the range check's slack).
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert "error:" in err.getvalue().splitlines()[-1]
+    if code != 0:
+        return
+    for line in out.getvalue().splitlines():
+        if line.startswith("{"):
+            raw = [v for k, v in json.loads(line).items() if "vora" in k]
+            assert all(-RANGE_TOL <= v <= 1.0 + RANGE_TOL for v in raw)
+        elif "vora" in line.split(": ")[0]:
+            assert 0.0 <= float(line.split(": ")[1]) <= 1.0
