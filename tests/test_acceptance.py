@@ -178,8 +178,7 @@ def test_criterion_08_optimization_efficacy(camera, observer, pinned_runs):
     gains = {name: r.final_vora - r.initial_vora
              for name, r in pinned_runs.items()}
     monotone = all(
-        all(b.vora >= a.vora - 1e-14 for a, b in zip(r.iterations,
-                                                     r.iterations[1:]))
+        all(b.vora > a.vora for a, b in zip(r.iterations, r.iterations[1:]))
         for r in pinned_runs.values())
     best_random = random_search_best(camera.responses, observer.responses,
                                      n_samples=100_000, seed=12345,
@@ -189,7 +188,8 @@ def test_criterion_08_optimization_efficacy(camera, observer, pinned_runs):
           and margin >= -1e-6)
     _verdict(8, "optimizer beats unit filter and random search", ok,
              f"gain grad {gains['grad']:.3e}, newton {gains['newton']:.3e} "
-             f"(min 1e-04); random-search margin {margin:+.3e} (floor -1e-06)")
+             f"(min 1e-04); every step rises: {monotone}; "
+             f"random-search margin {margin:+.3e} (floor -1e-06)")
 
 
 def test_criterion_09_identity_filter_neutrality(camera, observer):
@@ -214,22 +214,24 @@ def test_criterion_09_identity_filter_neutrality(camera, observer):
 
 def test_criterion_10_cli_determinism_and_verification(tmp_path, capsys,
                                                        monkeypatch):
-    traces = []
+    outputs = []
     for tag in ("a", "b"):
-        trace = tmp_path / f"trace_{tag}.csv"
+        trace, filt = tmp_path / f"trace_{tag}.csv", tmp_path / f"filter_{tag}.csv"
         code = main(["optimize", "--method", "newton", "--alpha", "1e-4",
                      "--init", "random", "--seed", "99", "--max-iters", "40",
-                     "--out-trace", str(trace)])
+                     "--out-trace", str(trace), "--out-filter", str(filt)])
         assert code == 0
-        traces.append(trace.read_bytes())
+        outputs.append((trace.read_bytes(), filt.read_bytes()))
     check_ok = main(["check", "--trials", "20"])
+    capsys.readouterr()
     sabotage_gradient(monkeypatch)
     check_sabotaged = main(["check", "--trials", "3"])
-    capsys.readouterr()
-    ok = (traces[0] == traces[1] and check_ok == 0 and check_sabotaged == 4)
+    sabotage_fails = "FAIL" in capsys.readouterr().out
+    ok = (outputs[0] == outputs[1] and check_ok == 0 and check_sabotaged == 4
+          and sabotage_fails)
     _verdict(10, "byte-identical reruns; check passes, sabotage fails", ok,
-             f"traces equal: {traces[0] == traces[1]}, check exit {check_ok}, "
-             f"sabotage exit {check_sabotaged}")
+             f"trace and filter equal: {outputs[0] == outputs[1]}, check exit {check_ok}, "
+             f"sabotage exit {check_sabotaged}, FAIL printed: {sabotage_fails}")
 
 
 def test_criterion_11_newton_runtime_under_one_second(camera, observer):
