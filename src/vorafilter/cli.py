@@ -80,16 +80,21 @@ def _named(label: str):
         raise VoraFilterError(f"{label}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _load_sensors(path: str | None, default_file: str,
-                  grid: WavelengthGrid) -> SensorSet:
+def _sensor_source(path: str | None, default_file: str):
+    """The label and the file a sensor table is read from: ``path``, else
+    ``default_file`` in ``VORA_FILTER_DATA``, else the bundled table."""
     data_dir = os.environ.get(DATA_ENV_VAR)
     if path is None and data_dir:
         path = str(Path(data_dir, default_file))
     if path is not None:
-        label, source = path, Path(path)
-    else:
-        label = f"<default {default_file}>"
-        source = importlib.resources.files("vorafilter").joinpath("data", default_file)
+        return path, Path(path)
+    return (f"<default {default_file}>",
+            importlib.resources.files("vorafilter").joinpath("data", default_file))
+
+
+def _load_sensors(path: str | None, default_file: str,
+                  grid: WavelengthGrid) -> SensorSet:
+    label, source = _sensor_source(path, default_file)
     with _named(label):
         table = parse_spectral_csv(source.read_text(encoding="utf-8"), expected_channels=3)
         responses = resample_to_grid(table.wavelengths, table.values, grid)
@@ -241,11 +246,14 @@ def _svg_report(report, grid: WavelengthGrid) -> str:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    # Every file the run reads, resolved as the file system does, so that a
+    # symlink to an input, or an input's own path, is refused as an output.
     outputs = [p for p in (args.out_filter, args.out_trace, args.out_svg) if p]
-    inputs = [p for p in (args.camera, args.observer, args.filter) if p]
-    taken = {os.path.abspath(p) for p in inputs}
+    inputs = [str(_sensor_source(args.camera, DEFAULT_CAMERA_FILE)[1]),
+              str(_sensor_source(args.observer, DEFAULT_OBSERVER_FILE)[1]), args.filter]
+    taken = {os.path.realpath(p) for p in inputs if p}
     for path in outputs:
-        key = os.path.abspath(path)
+        key = os.path.realpath(path)
         if key in taken:
             raise VoraFilterError(f"output path collides with another path: {path}")
         taken.add(key)

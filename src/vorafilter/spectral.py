@@ -261,11 +261,15 @@ def parse_spectral_csv(text: str, expected_channels: int) -> SpectralTable:
 def _table_columns(wavelengths: NDArray[np.float64], values: NDArray[np.float64]
                    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """A table's wavelengths and value columns, checked as :func:`parse_spectral_csv`
-    checks its rows: at least one, finite, wavelengths strictly increasing."""
+    checks its rows: at least one, finite, wavelengths strictly increasing; the
+    values are one column (1-D) or a 2-D table of at least one column."""
     w = np.asarray(wavelengths, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if v.ndim == 1:
         v = v[:, None]
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError(f"values must be 1-D or 2-D with at least one column, "
+                         f"got shape {np.shape(values)}")
     if w.ndim != 1 or v.shape[0] != w.shape[0]:
         raise ValueError("values rows must match wavelengths")
     if w.size == 0:

@@ -391,13 +391,27 @@ class TestOptimize:
         assert code == 2
         assert "alpha" in err
 
-    def test_output_collision_exits_2(self, capsys, tmp_path):
+    def test_output_collision_exits_2(self, capsys, tmp_path, monkeypatch, cie_path):
         path = tmp_path / "same.csv"
         code = main(["optimize", "--out-filter", str(path),
                      "--out-trace", str(path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "same.csv" in err
+        # An output that resolves to a file the run reads: a symlink to the
+        # camera, or the VORA_FILTER_DATA camera read in the bundled one's place.
+        link = tmp_path / "link.csv"
+        link.symlink_to(cie_path)
+        fixture = tmp_path / DEFAULT_CAMERA_FILE
+        fixture.write_text(cie_csv_text(), encoding="utf-8")
+        for out, argv, env in [(link, ["--camera", str(cie_path)], None),
+                               (fixture, [], str(tmp_path))]:
+            if env:
+                monkeypatch.setenv("VORA_FILTER_DATA", env)
+            code = main(["optimize", *argv, "--out-filter", str(out)])
+            assert (code, capsys.readouterr().err) == (
+                2, f"error: output path collides with another path: {out}\n")
+            assert out.read_text(encoding="utf-8") == cie_csv_text()
 
     @pytest.mark.parametrize("basis", [[], ["--basis", "cosine:8"]])
     def test_start_filter_outside_the_box_is_rescaled(self, capsys, tmp_path, basis):

@@ -354,13 +354,20 @@ G = DEFAULT_GRID
      MalformedCsv, "no data rows found"),
     (lambda cam, obs: format_spectral_csv(np.arange(3.0), np.ones(2), ("t",)),
      ValueError, "values rows must match wavelengths"),
+    (lambda cam, obs: format_spectral_csv([400.0, 500.0], np.empty((2, 0)), ()),
+     ValueError, "values must be 1-D or 2-D with at least one column, got shape (2, 0)"),
+    (lambda cam, obs: format_spectral_csv([400.0, 500.0], np.float64(1.0), ("t",)),
+     ValueError, "values must be 1-D or 2-D with at least one column, got shape ()"),
+    (lambda cam, obs: format_spectral_csv([400.0, 500.0], np.ones((2, 1, 1)), ("t",)),
+     ValueError, "values must be 1-D or 2-D with at least one column, got shape (2, 1, 1)"),
     (lambda cam, obs: resample_to_grid(np.arange(3.0), np.ones(2), G),
      ValueError, "values rows must match wavelengths"),
     (lambda cam, obs: resample_to_grid(np.array([400.0, 700.0, 550.0]), np.ones(3), G),
      UnsortedWavelength, "source wavelengths must be strictly increasing"),
 ], ids=["basis-shape", "basis-size", "coeffs-length", "responses-shape",
         "channel-names", "transmittance-length", "csv-no-header", "csv-no-rows",
-        "format-rows", "resample-rows", "resample-unsorted"])
+        "format-rows", "format-no-columns", "format-0d", "format-3d", "resample-rows",
+        "resample-unsorted"])
 def test_public_input_guard_raises_typed_and_named(camera, observer, call, error, message):
     with pytest.raises(error) as raised:
         call(camera, observer)
