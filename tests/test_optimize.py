@@ -17,6 +17,7 @@ from vorafilter import (
     NoAscent,
     NonPositiveFilter,
     OptimizerConfig,
+    RankDeficient,
     SensorSet,
     SingularSystem,
     gaussian_camera,
@@ -52,6 +53,24 @@ def colorimetric_camera(observer) -> SensorSet:
 
 
 class TestNewtonStep:
+    def test_matches_closed_form(self, camera, observer):
+        alpha = 1e-4
+        for seed in (0, 1, 2):
+            filt = make_random_filter(seed)
+            f = filt.transmittance
+            step = newton_step(camera, observer, filt, alpha)
+            h0 = hessian(camera, observer, filt, alpha=0.0)
+            closed = np.linalg.solve(h0 + alpha * np.eye(N),
+                                     (h0 - alpha * np.eye(N)) @ f)
+            assert np.linalg.norm(step - closed) / np.linalg.norm(step) < 1e-8
+
+    def test_degenerates_to_filter_direction_as_alpha_vanishes(self, camera, observer):
+        filt = make_random_filter(3)
+        f = filt.transmittance
+        step = newton_step(camera, observer, filt, alpha=1e-12)
+        cos = float(step @ f / (np.linalg.norm(step) * np.linalg.norm(f)))
+        assert cos > 1.0 - 1e-4
+
     def test_at_colorimetric_camera(self, observer):
         cam = colorimetric_camera(observer)
         filt = FilterSpectrum.ones(DEFAULT_GRID)
@@ -749,6 +768,20 @@ class TestTermination:
 
 
 class TestOneBasisPerFilter:
+    @pytest.mark.parametrize("method", ["grad", "newton"])
+    def test_rank_deficient_start_raises(self, camera, observer, method):
+        # Transmittance 1e-200 on all rows but two leaves diag(f) Q of
+        # numerical rank 2: the run raises RankDeficient, as the public calls
+        # do, before any floating-point warning.
+        f = np.full(N, 1e-200)
+        f[15:17] = 1.0
+        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f, tau_min=1e-300)
+        config = OptimizerConfig(method=method, tau_min=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankDeficient):
+                optimize(camera, observer, config, filt)
+
     def test_each_evaluated_filter_is_factored_once(self, monkeypatch, camera, observer):
         # One QR for the start filter and one per trial valued; an accepted
         # trial's basis is the one the next model is built on.
@@ -777,7 +810,7 @@ class TestConfigValidation:
             OptimizerConfig(tau_min=0.5, tau_max=0.4)
         with pytest.raises(ValueError):
             OptimizerConfig(tau_max=1.5)
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ValueError):
             OptimizerConfig(method="newton", alpha=-1e-4)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)

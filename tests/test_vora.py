@@ -182,6 +182,11 @@ class TestRegularizedObjective:
         oracle = regularized_objective(camera.responses, observer.responses, f, alpha)
         assert abs(state.mu() - oracle) <= 1e-14
 
+    def test_negative_alpha_rejected(self):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                OptimizerConfig(alpha=bad)
+
 
 def test_vora_value_float_protocol(camera, observer):
     vv = vora_value(camera, observer)
