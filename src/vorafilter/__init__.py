@@ -22,11 +22,9 @@ from .calculus import (
 )
 from .errors import (
     BadBasisSpec,
-    DuplicateWavelength,
     GridMismatch,
     InsufficientCoverage,
     MalformedCsv,
-    NoAscent,
     NonPositiveFilter,
     RankDeficient,
     SingularSystem,
@@ -62,13 +60,11 @@ __all__ = [
     "BadBasisSpec",
     "BasisSet",
     "DEFAULT_GRID",
-    "DuplicateWavelength",
     "FilterSpectrum",
     "GridMismatch",
     "InsufficientCoverage",
     "IterationRecord",
     "MalformedCsv",
-    "NoAscent",
     "NonPositiveFilter",
     "OptimizationReport",
     "OptimizerConfig",

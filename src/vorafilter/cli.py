@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import fd_gradient, fd_hessian, gradient, hessian, make_basis, newton_step
-from .errors import NoAscent, VoraFilterError
+from .errors import VoraFilterError
 from .optimize import _INITS, _METHODS, OptimizerConfig, optimize
 from .spectral import (
     DEFAULT_GRID,
@@ -372,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_check(args)
     except (VoraFilterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STALLED if isinstance(exc, NoAscent) else EXIT_INPUT
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -16,12 +16,9 @@ class MalformedCsv(VoraFilterError):
     """CSV input has a bad header, wrong row arity, or a non-numeric cell."""
 
 
-class DuplicateWavelength(VoraFilterError):
-    """Two rows of a spectral CSV share the same wavelength."""
-
-
 class UnsortedWavelength(VoraFilterError):
-    """Spectral CSV rows are not in ascending wavelength order."""
+    """Spectral rows are not in strictly ascending wavelength order: a
+    wavelength repeats or falls."""
 
 
 class InsufficientCoverage(VoraFilterError):
@@ -50,7 +47,3 @@ class BadBasisSpec(VoraFilterError):
 
 class SingularSystem(VoraFilterError):
     """The regularized Newton system could not be solved."""
-
-
-class NoAscent(VoraFilterError):
-    """The first optimizer iteration found no improving step."""

@@ -80,7 +80,7 @@ from numpy.typing import NDArray
 from .calculus import (BasisSet, _basis_hessian, _capacitance, _gradient,
                        _hessian_diagonal, _hessian_factors, _projected_observer,
                        _woodbury)
-from .errors import NoAscent, NonPositiveFilter
+from .errors import NonPositiveFilter
 # Unused here (the QRs go through vora._filtered_basis); bench/run.py looks it up.
 from .projectors import _finite_result, orthonormal_columns  # noqa: F401
 from .spectral import (DEFAULT_TAU_MAX, DEFAULT_TAU_MIN, FilterSpectrum, SensorSet,
@@ -152,7 +152,11 @@ class OptimizerConfig:
 class IterationRecord:
     """One accepted step. ``step_len`` is the 2-norm of the trust-region
     step ``s`` before the gauge. ``backtracks`` counts the trials rejected
-    on the way, each of which shrank the radius."""
+    on the way, each of which shrank the radius. ``grad_inf_norm`` is the
+    projected gradient's inf-norm at the iterate the step was taken from:
+    row ``k >= 1`` reports iterate ``k - 1``, so rows 0 and 1 share one
+    value, and a run that ends ``converged_grad`` records no row for its
+    final test."""
 
     iteration: int
     vora: float
@@ -422,7 +426,7 @@ class _RunState:
     def trust_subproblem(self):
         """The model at the iterate, as the projected gradient the
         convergence test reads, and a map from a radius to the step and its
-        predicted gain (None when no coordinate is free).
+        predicted gain: the zero step and no gain when no coordinate is free.
 
         The model is ``g.s + s.H s / 2`` in the chart of the iterate (see the
         module docstring), with ``H = diag(d) + U U^T`` for ``newton`` and
@@ -453,8 +457,6 @@ class _RunState:
         free = ~frozen
         if free.all():
             free[np.argmax(self.f)] = False
-        if not free.any():
-            return steer, None
         d, u, grad = d[free], u[free], g[free]
         lo, hi = cfg.tau_min - self.f[free], cfg.tau_max - self.f[free]
         precond = _preconditioner(d)
@@ -594,12 +596,9 @@ def optimize(camera: SensorSet, observer: SensorSet,
     converged_obj   accepted improvements below ``tol_obj`` three in a row,
                     or no improving step while the model predicts a gain
                     below ``tol_obj`` at the largest radius
-    stalled         no improving step found after the first iteration
+    stalled         no improving step while the model predicts a gain of
+                    at least ``tol_obj`` at the largest radius
     max_iters       iteration budget exhausted
-
-    Raises :class:`NoAscent` if the first iteration finds no improving step
-    while the gradient is still meaningfully nonzero (see the module
-    docstring for :class:`~vorafilter.errors.RankDeficient`).
     """
     cfg = config if config is not None else OptimizerConfig()
     state = _RunState(camera, observer, cfg, initial_filter)
@@ -617,17 +616,12 @@ def optimize(camera: SensorSet, observer: SensorSet,
             termination = "converged_grad"
             break
 
-        best = None if solve is None else state.trust_region(solve)
-
+        best = state.trust_region(solve)
         if best is None:
-            if it == 1:
-                raise NoAscent("no improving step at iteration 1")
             # The model may promise less than tol_obj anywhere in the
             # largest region: the value is then resolved as far as it goes.
-            termination = "stalled"
-            if solve is not None and (
-                    solve(_RADIUS_MAX * float(np.linalg.norm(state.x)))[1] < cfg.tol_obj):
-                termination = "converged_obj"
+            promised = solve(_RADIUS_MAX * float(np.linalg.norm(state.x)))[1]
+            termination = "converged_obj" if promised < cfg.tol_obj else "stalled"
             break
 
         gain, step_len, backtracks = best

@@ -20,7 +20,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
-    DuplicateWavelength,
     GridMismatch,
     InsufficientCoverage,
     MalformedCsv,
@@ -236,15 +235,9 @@ def parse_spectral_csv(text: str, expected_channels: int) -> SpectralTable:
             raise MalformedCsv(f"line {lineno}: non-numeric cell ({exc})") from None
         if not all(map(math.isfinite, numbers)):
             raise MalformedCsv(f"line {lineno}: non-finite value")
-        if wavelengths:
-            if numbers[0] == wavelengths[-1]:
-                raise DuplicateWavelength(
-                    f"line {lineno}: duplicate wavelength {numbers[0]:g}"
-                )
-            if numbers[0] < wavelengths[-1]:
-                raise UnsortedWavelength(
-                    f"line {lineno}: wavelength {numbers[0]:g} after {wavelengths[-1]:g}"
-                )
+        if wavelengths and numbers[0] <= wavelengths[-1]:
+            raise UnsortedWavelength(
+                f"line {lineno}: wavelength {numbers[0]:g} after {wavelengths[-1]:g}")
         wavelengths.append(numbers[0])
         rows.append(numbers[1:])
     if header is None:

@@ -255,7 +255,7 @@ def test_criterion_12_planted_optimum_is_found():
              (("cosine", 8), "grad"), (("gaussian", 12), "newton")]
     worst = {"newton": [0.0, 0.0], "grad": [0.0, 0.0]}  # |1 - V|, filter error
     control_gap, control_floor, converged = np.inf, np.inf, True
-    for n in (31, 301):
+    for n in (31, 61, 301):
         observer = cie_observer(n)
         lam = observer.grid.wavelengths
         for spec, method in modes:

@@ -109,13 +109,6 @@ class TestGradient:
             worst = max(worst, rel_err(got, want))
         assert worst < 1e-5
 
-    def test_zero_at_colorimetric_camera(self, observer):
-        rng = np.random.default_rng(12)
-        t = rng.uniform(-1.0, 1.0, (3, 3)) + 2.0 * np.eye(3)
-        cam = SensorSet(grid=DEFAULT_GRID, responses=observer.responses @ t)
-        g = gradient(cam, observer, FilterSpectrum.ones(DEFAULT_GRID))
-        assert np.max(np.abs(g)) < 1e-10
-
     def test_vanishes_whenever_value_is_one(self, observer):
         unit = FilterSpectrum.ones(DEFAULT_GRID)
         rng = np.random.default_rng(13)
@@ -125,7 +118,7 @@ class TestGradient:
             value = filtered_vora_value(cam, observer, unit).raw
             assert abs(value - 1.0) < 1e-10
             g = gradient(cam, observer, unit)
-            assert np.max(np.abs(g)) < 1e-9
+            assert np.max(np.abs(g)) < 1e-10
 
 
 class TestHessian:

@@ -268,14 +268,19 @@ class TestOptimize:
         assert code == 3
         assert "termination: stalled" in out
 
-    def test_no_ascent_exits_3(self, capsys, colorimetric_path):
+    @pytest.mark.parametrize("flags, expected, termination",
+                             [([], 0, "converged_obj"), (["--tol-obj", "0"], 3, "stalled")],
+                             ids=["converged_obj", "stalled"])
+    def test_no_improving_step_at_the_start(self, capsys, colorimetric_path, flags,
+                                            expected, termination):
         # A colorimetric camera is already at the optimum, so with no
         # gradient tolerance the first iteration finds no improving step.
         code = main(["optimize", "--camera", str(colorimetric_path),
-                     "--tol-grad", "0"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err == "error: no improving step at iteration 1\n"
+                     "--tol-grad", "0", *flags])
+        captured = capsys.readouterr()
+        assert code == expected
+        assert f"termination: {termination}\niterations: 0\n" in captured.out
+        assert captured.err == ""
 
     def test_rank_deficient_start_filter_exits_2(self, capsys, tmp_path):
         # A start filter that leaves the filtered camera of rank 2 is an

@@ -14,7 +14,6 @@ from oracles import regularized_objective
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
-    NoAscent,
     NonPositiveFilter,
     OptimizerConfig,
     RankDeficient,
@@ -728,13 +727,19 @@ class TestBasisMode:
 
 
 class TestTermination:
-    def test_no_ascent_at_exhausted_start(self, observer):
-        # at the global optimum the gradient is zero to machine precision;
-        # with the gradient stop disabled, iteration 1 cannot improve
+    @pytest.mark.parametrize("tol_obj, termination",
+                             [(1e-12, "converged_obj"), (0.0, "stalled")])
+    def test_no_improving_step_at_the_start(self, observer, tol_obj, termination):
+        # At the global optimum the gradient is zero to machine precision;
+        # with the gradient stop disabled, iteration 1 cannot improve. The
+        # model then promises less than tol_obj = 1e-12 at the largest
+        # radius, but not less than 0.
         cam = colorimetric_camera(observer)
-        cfg = OptimizerConfig(method="grad", tol_grad=0.0)
-        with pytest.raises(NoAscent):
-            optimize(cam, observer, cfg)
+        cfg = OptimizerConfig(tol_grad=0.0, tol_obj=tol_obj)
+        report = optimize(cam, observer, cfg)
+        assert report.termination == termination
+        assert report.accepted_steps == 0
+        assert len(report.iterations) == 1
 
     def test_stalled_on_basis_feasibility_wall(self, camera, observer):
         # a two-atom smooth filter driven against a high floor: once the
@@ -750,14 +755,19 @@ class TestTermination:
         assert report.final_vora > report.initial_vora
         assert abs(report.final_filter.transmittance.min() - 0.5) < 1e-9
 
+    @pytest.mark.parametrize("tol_grad, termination",
+                             [(1e-8, "converged_grad"), (0.0, "converged_obj")])
     @pytest.mark.parametrize("method", ["newton", "grad"])
-    def test_every_row_on_a_bound_ends_converged_grad(self, camera, observer, method):
+    def test_every_row_on_a_bound_ends_converged_grad(self, camera, observer, method,
+                                                      tol_grad, termination):
         # In the box [0.99, 1] the optimum has each row on a bound with its
         # gradient pointing out: no coordinate is free to step, and the
-        # projected gradient is zero.
-        report = optimize(camera, observer, OptimizerConfig(method=method, tau_min=0.99))
+        # projected gradient is zero. Without the gradient stop, the zero
+        # step's zero gain ends the run converged_obj.
+        report = optimize(camera, observer, OptimizerConfig(
+            method=method, tau_min=0.99, tol_grad=tol_grad))
         f = report.final_filter.transmittance
-        assert report.termination == "converged_grad"
+        assert report.termination == termination
         assert np.all((f == 0.99) | (f == 1.0))
 
     def test_max_iters_label(self, camera, observer):
@@ -811,8 +821,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(tau_max=1.5)
         with pytest.raises(ValueError):
-            OptimizerConfig(method="newton", alpha=-1e-4)
-        with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(init="warm")
@@ -821,12 +829,14 @@ class TestConfigValidation:
         for seed in (1.5, -1):
             with pytest.raises(ValueError, match="seed"):
                 OptimizerConfig(init="random", seed=seed)
+        for bad in (-1.0, np.nan, np.inf):
+            for method in ("grad", "newton"):
+                with pytest.raises(ValueError, match="alpha"):
+                    OptimizerConfig(method=method, alpha=bad)
         for bad in (np.nan, np.inf):
-            for field in ("alpha", "tol_obj", "tol_grad"):
+            for field in ("tol_obj", "tol_grad"):
                 with pytest.raises(ValueError, match=field):
                     OptimizerConfig(**{field: bad})
-            with pytest.raises(ValueError):
-                OptimizerConfig(method="newton", alpha=bad)
 
     @pytest.mark.parametrize("field", ["max_iters", "seed"])
     def test_rejects_bool(self, field):

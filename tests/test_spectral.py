@@ -10,7 +10,6 @@ from vorafilter import (
     DEFAULT_GRID,
     BadBasisSpec,
     BasisSet,
-    DuplicateWavelength,
     FilterSpectrum,
     InsufficientCoverage,
     MalformedCsv,
@@ -76,13 +75,11 @@ class TestParseSpectralCsv:
         assert table.channel_names == ("x", "y", "z")
         assert table.wavelengths.tolist() == [400.0, 410.0]
 
-    def test_duplicate_wavelength(self):
-        with pytest.raises(DuplicateWavelength):
-            parse_spectral_csv("wavelength,t\n400,1.0\n400,0.9", 1)
-
-    def test_unsorted_wavelength(self):
-        with pytest.raises(UnsortedWavelength):
-            parse_spectral_csv("wavelength,t\n410,1.0\n400,0.9", 1)
+    @pytest.mark.parametrize("second", ["400", "390"], ids=["repeated", "falling"])
+    def test_unsorted_wavelength(self, second):
+        with pytest.raises(UnsortedWavelength,
+                           match=f"^line 3: wavelength {second} after 400$"):
+            parse_spectral_csv(f"wavelength,t\n400,1.0\n{second},0.9", 1)
 
     def test_bad_header_name(self):
         with pytest.raises(MalformedCsv):
