@@ -127,7 +127,7 @@ def _parse_grid(spec: str) -> WavelengthGrid:
 
 def _load_inputs(args: argparse.Namespace) -> tuple[WavelengthGrid, SensorSet, SensorSet]:
     """The grid, camera and observer named by the common flags."""
-    grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
+    grid = _parse_grid(args.grid) if args.grid is not None else DEFAULT_GRID
     return (grid, _load_sensors(args.camera, DEFAULT_CAMERA_FILE, grid),
             _load_sensors(args.observer, DEFAULT_OBSERVER_FILE, grid))
 
@@ -182,7 +182,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "vora_value": native.raw,
     }
     filtered = None
-    if args.filter:
+    if args.filter is not None:
         filt = _load_filter(args.filter, grid)
         with _named(args.filter):
             filtered = filtered_vora_value(camera, observer, filt)
@@ -248,10 +248,10 @@ def _svg_report(report, grid: WavelengthGrid) -> str:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     # Every file the run reads, resolved as the file system does, so that a
     # symlink to an input, or an input's own path, is refused as an output.
-    outputs = [p for p in (args.out_filter, args.out_trace, args.out_svg) if p]
+    outputs = [p for p in (args.out_filter, args.out_trace, args.out_svg) if p is not None]
     inputs = [str(_sensor_source(args.camera, DEFAULT_CAMERA_FILE)[1]),
               str(_sensor_source(args.observer, DEFAULT_OBSERVER_FILE)[1]), args.filter]
-    taken = {os.path.realpath(p) for p in inputs if p}
+    taken = {os.path.realpath(p) for p in inputs if p is not None}
     for path in outputs:
         key = os.path.realpath(path)
         if key in taken:
@@ -259,20 +259,20 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         taken.add(key)
 
     grid, camera, observer = _load_inputs(args)
-    basis = _parse_basis(args.basis, grid) if args.basis else None
+    basis = _parse_basis(args.basis, grid) if args.basis is not None else None
     given = {spec.name: getattr(args, spec.name) for spec in _CONFIG_FIELDS
              if getattr(args, spec.name) is not None}
     config = OptimizerConfig(basis=basis, **given)
-    initial = _load_filter(args.filter, grid) if args.filter else None
+    initial = _load_filter(args.filter, grid) if args.filter is not None else None
     report = optimize(camera, observer, config, initial_filter=initial)
 
-    if args.out_filter:
+    if args.out_filter is not None:
         with _named(args.out_filter):
             write_filter_csv(args.out_filter, report.final_filter)
-    if args.out_trace:
+    if args.out_trace is not None:
         with _named(args.out_trace):
             Path(args.out_trace).write_text(_trace_csv(report), encoding="utf-8", newline="\n")
-    if args.out_svg:
+    if args.out_svg is not None:
         with _named(args.out_svg):
             Path(args.out_svg).write_text(_svg_report(report, grid), encoding="utf-8", newline="\n")
 

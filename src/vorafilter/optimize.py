@@ -1,14 +1,15 @@
 """Filter optimization: projected gradient ascent and Newton, in one trust region.
 
 Both methods maximize the filtered Vora-Value over the box
-``[tau_min, tau_max]^n``. A run keeps one iterate ``x``: the filter, or its
-coefficients in a smoothness basis. The objective is invariant to rescaling
-the filter, so every trial iterate passes through one gauge, chosen per run,
-that scales it to maximum transmittance ``tau_max`` and returns its filter:
-clipped into the box for a filter, rejected for coefficients whose filter
-leaves it. The gauge step never changes the objective. This module holds
-only the optimizer: the closed forms it models with, and the paper's
-regularized Newton step, are in :mod:`vorafilter.calculus`.
+``[tau_min, tau_max]^n``. The value is invariant to scaling the filter, so
+a run depends on its box only through ``floor = tau_min / tau_max``: it
+runs at unit peak, in ``[floor, 1]^n``, and only its report (the filter,
+clipped into the box, the coefficients and ``mu``) scales by ``tau_max``;
+the trace's ``step`` and ``gradnorm`` and the ``tol_grad`` test measure the
+unit-peak run. It keeps one iterate ``x``, the filter or its coefficients in
+a smoothness basis, and a gauge scales each trial to peak 1: clipped into
+the box for a filter, rejected for coefficients whose filter leaves it. The
+closed forms it models with are in :mod:`vorafilter.calculus`.
 
 They are one trust-region iteration (Steihaug 1983; Conn, Gould & Toint
 2000) and differ only in the model. The value's Hessian is
@@ -31,17 +32,17 @@ box are frozen; each step maximizes the second-order model
 is then projected onto the box, and the gain predicted for the projected
 step is weighed against the actual gain to adapt the radius. Along the
 filter itself the value is flat (``f.g = 0``, ``H f = -g``), so when nothing
-is frozen the peak, which the gauge holds at ``tau_max``, is held fixed too:
-a chart of the quotient by the scale (Absil, Mahony & Sepulchre 2008).
+is frozen the peak, which the gauge holds at 1, is held fixed too: a chart
+of the quotient by the scale (Absil, Mahony & Sepulchre 2008).
 
 In basis mode the step lies in ``c-perp``, the chart for coefficients ``c``.
-The box is a scale-free constraint there: ``f_i >= (tau_min / tau_max) f_j``
-for every pair of a row ``i`` and a row ``j`` of ``f = B c``. The pairs of a
-floor row and a peak row are the active ones; their multipliers, from
-nonnegative least squares, give the projected gradient the convergence test
-reads. Those with positive multipliers are held fixed, and so is any pair
-on the wall that cuts a step short; a step is cut back along its ray to the
-first pair it would break (Nocedal & Wright 2006, ch. 16).
+The box is a scale-free constraint there: ``f_i >= floor f_j`` for every
+pair of a row ``i`` and a row ``j`` of ``f = B c``. The pairs of a floor row
+and a peak row are the active ones; their multipliers, from nonnegative
+least squares, give the projected gradient the convergence test reads.
+Those with positive multipliers are held fixed, and so is any pair on the
+wall that cuts a step short; a step is cut back along its ray to the first
+pair it would break (Nocedal & Wright 2006, ch. 16).
 
 The trust region takes over where ``H`` is indefinite, as it is at the unit
 filter. For a filter, Newton first asks once per iterate whether its model
@@ -151,12 +152,12 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """One accepted step. ``step_len`` is the 2-norm of the trust-region
-    step ``s`` before the gauge. ``backtracks`` counts the trials rejected
-    on the way, each of which shrank the radius. ``grad_inf_norm`` is the
-    projected gradient's inf-norm at the iterate the step was taken from:
-    row ``k >= 1`` reports iterate ``k - 1``, so rows 0 and 1 share one
-    value, and a run that ends ``converged_grad`` records no row for its
-    final test."""
+    step ``s`` before the gauge, and ``grad_inf_norm`` the projected
+    gradient's inf-norm at the iterate the step was taken from, both on the
+    unit-peak run. Row ``k >= 1`` reports iterate ``k - 1``, so rows 0 and 1
+    share one gradient, and a run that ends ``converged_grad`` records no
+    row for its final test. ``backtracks`` counts the trials rejected on the
+    way, each of which shrank the radius; ``mu`` is the reported filter's."""
 
     iteration: int
     vora: float
@@ -341,8 +342,8 @@ class _RunState:
                  initial_filter: FilterSpectrum | None) -> None:
         grids = () if config.basis is None else (config.basis.grid,)
         _require_same_grid(camera.grid, observer.grid, *grids)
-        self.camera, self.v = camera, observer.basis
-        self.config = config
+        self.camera, self.v, self.config = camera, observer.basis, config
+        self.floor = config.tau_min / config.tau_max  # the box at unit peak
         self.grid = camera.grid
         self.basis = config.basis.basis if config.basis is not None else None
         if initial_filter is not None:
@@ -384,8 +385,7 @@ class _RunState:
         """Rescale into the gauge, then clip into the box. The peak is
         positive: so is a start filter, and a trial (never a NaN step) keeps
         at least one row of the iterate as it is."""
-        f = np.clip(values * (self.config.tau_max / values.max()),
-                    self.config.tau_min, self.config.tau_max)
+        f = np.clip(values * (1.0 / values.max()), self.floor, 1.0)
         return f, f
 
     def _gauge_coeffs(self, coeffs: NDArray[np.float64]) -> _Gauged | None:
@@ -395,33 +395,32 @@ class _RunState:
         feasibility check sees exactly the vector later code will use
         (scaling f and scaling c differ by an ulp).
         """
-        cfg = self.config
-        c = coeffs
-        f = self.basis @ c
+        c, f = coeffs, self.basis @ coeffs
         peak = f.max()
         if not np.isfinite(peak) or peak <= 0.0:
             return None
         for _ in range(4):
-            c = c * (cfg.tau_max / peak)
+            c = c * (1.0 / peak)
             f = self.basis @ c
             peak = f.max()
-            if peak <= cfg.tau_max:
+            if peak <= 1.0:
                 break
         else:
             return None
-        return None if np.any(f < cfg.tau_min) else (c, f)
+        return None if np.any(f < self.floor) else (c, f)
 
     # -- objective and model -----------------------------------------------
 
     def mu(self) -> float:
-        # The stored value is the objective at f, so nothing is re-evaluated.
-        return self.value + 0.5 * self.config.alpha * float(self.f @ self.f)
+        # The stored value is the objective at f, so nothing is re-evaluated;
+        # the alpha term is the reported filter's, at peak tau_max.
+        f = self.f * self.config.tau_max
+        return self.value + 0.5 * self.config.alpha * float(f @ f)
 
     def _frozen(self, g: NDArray[np.float64]) -> NDArray[np.bool_]:
         """Filter components on a bound of the box whose gradient points out."""
-        cfg = self.config
-        return (((self.f >= cfg.tau_max - _BOUND_EPS) & (g > 0.0))
-                | ((self.f <= cfg.tau_min + _BOUND_EPS) & (g < 0.0)))
+        return (((self.f >= 1.0 - _BOUND_EPS) & (g > 0.0))
+                | ((self.f <= self.floor + _BOUND_EPS) & (g < 0.0)))
 
     def trust_subproblem(self):
         """The model at the iterate, as the projected gradient the
@@ -458,7 +457,7 @@ class _RunState:
         if free.all():
             free[np.argmax(self.f)] = False
         d, u, grad = d[free], u[free], g[free]
-        lo, hi = cfg.tau_min - self.f[free], cfg.tau_max - self.f[free]
+        lo, hi = self.floor - self.f[free], 1.0 - self.f[free]
         precond = _preconditioner(d)
 
         def hess(p: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -516,17 +515,16 @@ class _RunState:
 
         Each pair of a floor row ``i`` and a peak row ``j`` of the filter
         gives the constraint ``n.c >= 0`` with ``n = B_i - ratio B_j``. The
-        wall the steps stop at sits ``_BOUND_EPS`` above ``tau_min``, so that
-        rounding in the gauge never takes a filter row under ``tau_min``; the
+        wall the steps stop at sits ``_BOUND_EPS`` above the floor, so that
+        rounding in the gauge never takes a filter row under the floor; the
         cut-back allows rounding-sized slips past it, so that a held pair
         whose step is zero only up to rounding does not block the step.
         """
-        cfg, b, c, f = self.config, self.basis, self.x, self.f
-        floor = cfg.tau_min + _BOUND_EPS
-        ratio = floor / cfg.tau_max
-        cut_ratio = min(ratio, f.min() / f.max()) - 1e-3 * _BOUND_EPS / cfg.tau_max
-        rows_lo = np.flatnonzero(f <= floor + _BOUND_EPS)
-        rows_hi = np.flatnonzero(f >= cfg.tau_max - _BOUND_EPS)
+        b, c, f = self.basis, self.x, self.f
+        ratio = self.floor + _BOUND_EPS
+        cut_ratio = min(ratio, f.min() / f.max()) - 1e-3 * _BOUND_EPS
+        rows_lo = np.flatnonzero(f <= ratio + _BOUND_EPS)
+        rows_hi = np.flatnonzero(f >= 1.0 - _BOUND_EPS)
         pair_lo = np.repeat(rows_lo, rows_hi.size)
         pair_hi = np.tile(rows_hi, rows_lo.size)
         normals = b[pair_lo] - ratio * b[pair_hi]
@@ -567,6 +565,8 @@ class _RunState:
         for rejected in range(_MAX_BACKTRACKS):
             step, predicted = solve(radius)
             step_len = float(np.linalg.norm(step))
+            if step_len == 0.0:  # the radius shrinks to 0: every later step is 0
+                break
             # A step the model does not expect to gain is rejected untried.
             gauged = self.gauge(self.x + step) if predicted > 0.0 else None
             w_t = None if gauged is None else _filtered_basis(self.camera, gauged[1])
@@ -632,13 +632,12 @@ def optimize(camera: SensorSet, observer: SensorSet,
             termination = "converged_obj"
             break
 
-    final = FilterSpectrum(grid=state.grid, transmittance=state.f,
-                           tau_min=cfg.tau_min, tau_max=cfg.tau_max)
+    final = np.clip(state.f * cfg.tau_max, cfg.tau_min, cfg.tau_max)
     return OptimizationReport(
         iterations=tuple(rows),
-        final_filter=final,
+        final_filter=FilterSpectrum(state.grid, final, cfg.tau_min, cfg.tau_max),
         initial_vora=initial_vora,
         final_vora=state.value,
         termination=termination,
-        coefficients=None if state.basis is None else state.x,
+        coefficients=None if state.basis is None else state.x * cfg.tau_max,
     )

@@ -250,15 +250,18 @@ def test_criterion_12_planted_optimum_is_found():
     # The plant f* runs from 0.24 to 1 (in basis mode, its fit B c*), so
     # the design must end at f proportional to f* with value 1; at
     # tau_min = 0.3 the plant is out of the box and the value stays short.
-    # gaussian:12 with grad is left out: it takes about 1700-2000 steps.
+    # gaussian:12 with grad is left out: it takes about 1700-2000 steps;
+    # grad is left out at n = 601, where it ends 1.17e-4 from f*.
     modes = [(None, "newton"), (None, "grad"), (("cosine", 8), "newton"),
              (("cosine", 8), "grad"), (("gaussian", 12), "newton")]
     worst = {"newton": [0.0, 0.0], "grad": [0.0, 0.0]}  # |1 - V|, filter error
     control_gap, control_floor, converged = np.inf, np.inf, True
-    for n in (31, 61, 301):
+    for n in (31, 61, 301, 601):
         observer = cie_observer(n)
         lam = observer.grid.wavelengths
         for spec, method in modes:
+            if n == 601 and method == "grad":
+                continue
             f_star = 0.05 + 0.95 * np.exp(-0.5 * ((lam - 560.0) / 90.0) ** 2)
             basis = None if spec is None else make_basis(*spec, observer.grid)
             if basis is not None:

@@ -293,7 +293,8 @@ class TestFloorHuggingFilters:
     def test_rank_deficient_filtered_camera_raises(self, camera, observer):
         # Transmittance 1e-200 on all rows but two leaves diag(f) Q of
         # numerical rank 2: every public derivative raises RankDeficient, as
-        # the value does, with no floating-point warning on the way.
+        # the value and a design from it do, with no floating-point warning
+        # on the way.
         f = np.full(N, 1e-200)
         f[15:17] = 1.0
         filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f, tau_min=1e-300)
@@ -306,6 +307,10 @@ class TestFloorHuggingFilters:
             lambda: hessian(camera, observer, filt),
             lambda: hessian_in_basis(camera, observer, identity, f),
             lambda: newton_step(camera, observer, filt, 1e-4),
+            lambda: optimize(camera, observer,
+                             OptimizerConfig(method="grad", tau_min=1e-300), filt),
+            lambda: optimize(camera, observer,
+                             OptimizerConfig(method="newton", tau_min=1e-300), filt),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -366,6 +366,21 @@ class TestOptimize:
         assert code == 2
         assert repr(spec) in err
 
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--grid"),
+                                               ("optimize", "--basis"),
+                                               ("evaluate", "--filter"),
+                                               ("optimize", "--filter"),
+                                               ("optimize", "--out-filter"),
+                                               ("optimize", "--out-trace"),
+                                               ("optimize", "--out-svg")])
+    def test_empty_value_exits_2(self, capsys, command, flag):
+        # An empty value is refused as any other bad one, never read as no flag.
+        code = main([command, flag, ""])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_identity_basis_exits_2_naming_the_kinds(self, capsys):
         # Full mode is the identity basis; the --basis kinds are the smooth ones.
         code = main(["optimize", "--basis", "identity:8"])

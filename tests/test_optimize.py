@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 import warnings
@@ -16,7 +17,6 @@ from vorafilter import (
     FilterSpectrum,
     NonPositiveFilter,
     OptimizerConfig,
-    RankDeficient,
     SensorSet,
     SingularSystem,
     gaussian_camera,
@@ -26,7 +26,6 @@ from vorafilter import (
     make_basis,
     newton_step,
     optimize,
-    vora_value,
 )
 from vorafilter.vora import _filtered_basis, _vora_of_bases
 from vorafilter.calculus import _dense_operator, _hessian_diagonal, _projected_observer
@@ -52,24 +51,6 @@ def colorimetric_camera(observer) -> SensorSet:
 
 
 class TestNewtonStep:
-    def test_matches_closed_form(self, camera, observer):
-        alpha = 1e-4
-        for seed in (0, 1, 2):
-            filt = make_random_filter(seed)
-            f = filt.transmittance
-            step = newton_step(camera, observer, filt, alpha)
-            h0 = hessian(camera, observer, filt, alpha=0.0)
-            closed = np.linalg.solve(h0 + alpha * np.eye(N),
-                                     (h0 - alpha * np.eye(N)) @ f)
-            assert np.linalg.norm(step - closed) / np.linalg.norm(step) < 1e-8
-
-    def test_degenerates_to_filter_direction_as_alpha_vanishes(self, camera, observer):
-        filt = make_random_filter(3)
-        f = filt.transmittance
-        step = newton_step(camera, observer, filt, alpha=1e-12)
-        cos = float(step @ f / (np.linalg.norm(step) * np.linalg.norm(f)))
-        assert cos > 1.0 - 1e-4
-
     def test_at_colorimetric_camera(self, observer):
         cam = colorimetric_camera(observer)
         filt = FilterSpectrum.ones(DEFAULT_GRID)
@@ -666,6 +647,36 @@ class TestScaleGauge:
         for report in pinned_runs.values():
             assert report.final_filter.transmittance.max() == 1.0
 
+    @pytest.mark.parametrize("basis", [None, "cosine"])
+    @pytest.mark.parametrize("method", ["grad", "newton"])
+    def test_a_run_depends_on_its_box_only_through_the_ratio(self, camera, observer,
+                                                           method, basis):
+        # The box [tau_min 2^-k, 2^-k] runs the unit box's run bit for bit:
+        # its trace and its end are the same, and its filter and coefficients
+        # are the unit run's scaled exactly by 2^-k.
+        def trace(report):
+            return np.array([(row.vora, row.step_len, row.grad_inf_norm, row.backtracks)
+                             for row in report.iterations]).tobytes()
+
+        for init in ("ones", "random"):
+            for tau_min in (1e-4, 0.3):
+                cfg = OptimizerConfig(
+                    method=method, init=init, tau_min=tau_min,
+                    basis=None if basis is None else make_basis(basis, 8, DEFAULT_GRID))
+                unit = optimize(camera, observer, cfg)
+                for k in (40, 1000):
+                    scale = 2.0 ** -k
+                    run = optimize(camera, observer, dataclasses.replace(
+                        cfg, tau_min=tau_min * scale, tau_max=scale))
+                    label = (init, tau_min, k)
+                    assert trace(run) == trace(unit), label
+                    assert run.termination == unit.termination, label
+                    assert (run.final_filter.transmittance.tobytes()
+                            == (unit.final_filter.transmittance * scale).tobytes()), label
+                    if basis is not None:
+                        assert (run.coefficients.tobytes()
+                                == (unit.coefficients * scale).tobytes()), label
+
 
 class TestDeterminism:
     @staticmethod
@@ -770,6 +781,30 @@ class TestTermination:
         assert report.termination == termination
         assert np.all((f == 0.99) | (f == 1.0))
 
+    @pytest.mark.parametrize("method", ["newton", "grad"])
+    def test_a_zero_step_ends_the_trust_region(self, monkeypatch, camera, observer,
+                                               method):
+        # The run ends with every row on a bound, where the step is zero and
+        # the radius it shrinks to is zero too: the last trust region tries
+        # one step, not _MAX_BACKTRACKS of them.
+        solves = []
+        trust_region = _RunState.trust_region
+
+        def counted(state, solve):
+            solves.append(0)
+
+            def counted_solve(radius):
+                solves[-1] += 1
+                return solve(radius)
+
+            return trust_region(state, counted_solve)
+
+        monkeypatch.setattr(_RunState, "trust_region", counted)
+        report = optimize(camera, observer, OptimizerConfig(
+            method=method, tau_min=0.99, tol_grad=0.0))
+        assert report.termination == "converged_obj"
+        assert solves[-1] == 1
+
     def test_max_iters_label(self, camera, observer):
         report = optimize(camera, observer,
                           OptimizerConfig(method="grad", max_iters=5))
@@ -778,20 +813,6 @@ class TestTermination:
 
 
 class TestOneBasisPerFilter:
-    @pytest.mark.parametrize("method", ["grad", "newton"])
-    def test_rank_deficient_start_raises(self, camera, observer, method):
-        # Transmittance 1e-200 on all rows but two leaves diag(f) Q of
-        # numerical rank 2: the run raises RankDeficient, as the public calls
-        # do, before any floating-point warning.
-        f = np.full(N, 1e-200)
-        f[15:17] = 1.0
-        filt = FilterSpectrum(grid=DEFAULT_GRID, transmittance=f, tau_min=1e-300)
-        config = OptimizerConfig(method=method, tau_min=1e-300)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RankDeficient):
-                optimize(camera, observer, config, filt)
-
     def test_each_evaluated_filter_is_factored_once(self, monkeypatch, camera, observer):
         # One QR for the start filter and one per trial valued; an accepted
         # trial's basis is the one the next model is built on.
