@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import functools
 import importlib.resources
 import json
 import os
+import stat
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -92,13 +95,21 @@ def _sensor_source(path: str | None, default_file: str):
             importlib.resources.files("vorafilter").joinpath("data", default_file))
 
 
+@functools.lru_cache(maxsize=8)
+def _parsed_sensors(text: str, grid: WavelengthGrid) -> SensorSet:
+    """The sensor set a table's text gives on ``grid``. A process keeps the
+    last few: keyed on the text, not the path, an edited file or another
+    data directory is never stale, and a frozen SensorSet is safe to share."""
+    table = parse_spectral_csv(text, expected_channels=3)
+    responses = resample_to_grid(table.wavelengths, table.values, grid)
+    return SensorSet(grid=grid, responses=responses, channel_names=table.channel_names)
+
+
 def _load_sensors(path: str | None, default_file: str,
                   grid: WavelengthGrid) -> SensorSet:
     label, source = _sensor_source(path, default_file)
     with _named(label):
-        table = parse_spectral_csv(source.read_text(encoding="utf-8"), expected_channels=3)
-        responses = resample_to_grid(table.wavelengths, table.values, grid)
-        return SensorSet(grid=grid, responses=responses, channel_names=table.channel_names)
+        return _parsed_sensors(source.read_text(encoding="utf-8"), grid)
 
 
 def _load_filter(path: str, grid: WavelengthGrid) -> FilterSpectrum:
@@ -137,7 +148,9 @@ def _parse_basis(spec: str, grid: WavelengthGrid):
     return make_basis(kind, k, grid)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on the first call, not at import."""
     parser = argparse.ArgumentParser(
         prog="vorafilter",
         description="Vora-Value evaluation and colorimetric prefilter design.",
@@ -171,6 +184,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=int, default=20)
 
     return parser
+
+
+_PATH_FLAGS = ("camera", "observer", "filter", "out_filter", "out_trace", "out_svg")
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse, before any input is read, an empty path flag and an output
+    that cannot be written: an existing directory, or a path whose parent
+    is not one."""
+    for flag in _PATH_FLAGS:
+        path = getattr(args, flag, None)
+        if path == "":
+            raise VoraFilterError(f"--{flag.replace('_', '-')}: empty path")
+        if path is not None and flag.startswith("out_"):
+            with _named(path):
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                # A parent that cannot be stat'ed raises the OS's own reason.
+                if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -362,9 +395,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         if args.command == "evaluate":
             return _cmd_evaluate(args)
         if args.command == "optimize":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -14,20 +15,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cie_csv_text
+from conftest import cie_csv_text, make_random_camera
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
     OptimizerConfig,
     VoraFilterError,
+    WavelengthGrid,
     filtered_vora_value,
     format_spectral_csv,
+    load_sensor_set,
     make_basis,
     optimize,
+    parse_spectral_csv,
     vora_value,
 )
 from vorafilter import cli
-from vorafilter.cli import DEFAULT_CAMERA_FILE, _load_sensors, main, run_identity_checks
+from vorafilter.cli import (
+    DEFAULT_CAMERA_FILE,
+    DEFAULT_OBSERVER_FILE,
+    _load_sensors,
+    main,
+    run_identity_checks,
+)
 
 
 @pytest.fixture
@@ -89,6 +99,15 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == 2
         assert "bad.csv" in err and "line 2" in err
+
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--camera"),
+                                               ("evaluate", "--observer"),
+                                               ("evaluate", "--filter"),
+                                               ("optimize", "--filter"),
+                                               ("check", "--camera")])
+    def test_empty_path_is_named_by_its_flag(self, capsys, command, flag):
+        assert main([command, flag, ""]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag}: empty path\n")
 
     @pytest.mark.parametrize("command, flag", [("evaluate", "--camera"),
                                                ("evaluate", "--filter"),
@@ -381,6 +400,26 @@ class TestOptimize:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("flag", ["--out-filter", "--out-trace", "--out-svg"])
+    def test_unwritable_output_exits_2_before_any_input_is_read(self, capsys, tmp_path,
+                                                                 monkeypatch, flag):
+        # An output is checked before the inputs are read and the design
+        # runs, and named with the reason its write would give.
+        def unreached(*args, **kwargs):
+            raise AssertionError("an unwritable output reached the run")
+
+        monkeypatch.setattr(cli, "_load_sensors", unreached)
+        monkeypatch.setattr(cli, "optimize", unreached)
+        a_file = tmp_path / "file.csv"
+        a_file.write_text("", encoding="utf-8")
+        missing, under_file = tmp_path / "missing" / "out", a_file / "out"
+        for path, message in [("", f"{flag}: empty path"),
+                              (tmp_path, f"{tmp_path}: Is a directory"),
+                              (missing, f"{missing}: No such file or directory"),
+                              (under_file, f"{under_file}: Not a directory")]:
+            assert main(["optimize", flag, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_identity_basis_exits_2_naming_the_kinds(self, capsys):
         # Full mode is the identity basis; the --basis kinds are the smooth ones.
         code = main(["optimize", "--basis", "identity:8"])
@@ -545,15 +584,95 @@ class TestDataEnvVar:
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
-@pytest.mark.parametrize("argv", [["evaluate", "--json"], ["optimize", "--basis", "identity:8"]])
+def _camera_text(seed: int) -> str:
+    responses = make_random_camera(seed).responses
+    return format_spectral_csv(DEFAULT_GRID.wavelengths, responses, ("r", "g", "b"))
+
+
+class TestCaches:
+    """A process builds one parser and keeps the parsed tables of the last
+    few (text, grid) pairs: never stale, and never shared between files or
+    grids that differ."""
+
+    @staticmethod
+    def evaluate(capsys, *argv) -> float:
+        assert main(["evaluate", "--json", *argv]) == 0
+        return json.loads(capsys.readouterr().out.splitlines()[-1])["vora_value"]
+
+    def test_a_file_rewritten_in_place_is_read_again(self, capsys, tmp_path, observer):
+        path = tmp_path / "camera.csv"
+        values = []
+        for seed in (1001, 1003, 1001):
+            path.write_text(_camera_text(seed), encoding="utf-8")
+            values.append(self.evaluate(capsys, "--camera", str(path)))
+            assert values[-1] == vora_value(load_sensor_set(path), observer).raw
+        assert values[0] != values[1] and values[0] == values[2]
+
+    def test_each_data_directory_is_read_as_its_own(self, capsys, tmp_path, monkeypatch):
+        values = []
+        for seed in (1001, 1003, 1001):
+            data = tmp_path / str(seed)
+            data.mkdir(exist_ok=True)
+            (data / DEFAULT_CAMERA_FILE).write_text(_camera_text(seed), encoding="utf-8")
+            (data / DEFAULT_OBSERVER_FILE).write_text(cie_csv_text(), encoding="utf-8")
+            monkeypatch.setenv("VORA_FILTER_DATA", str(data))
+            values.append(self.evaluate(capsys))
+            assert values[-1] == vora_value(load_sensor_set(data / DEFAULT_CAMERA_FILE),
+                                            load_sensor_set(data / DEFAULT_OBSERVER_FILE)).raw
+        assert values[0] != values[1] and values[0] == values[2]
+
+    def test_one_file_on_two_grids(self, cie_path):
+        for grid in (DEFAULT_GRID, WavelengthGrid(400.0, 5.0, 61), DEFAULT_GRID):
+            loaded = _load_sensors(str(cie_path), DEFAULT_OBSERVER_FILE, grid)
+            expected = load_sensor_set(cie_path, grid)
+            assert loaded.grid == grid
+            assert np.array_equal(loaded.responses, expected.responses)
+
+    def test_a_file_turned_malformed_exits_2_with_its_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "camera.csv"
+        path.write_text(_camera_text(1001), encoding="utf-8")
+        good = self.evaluate(capsys, "--camera", str(path))
+        bad = "wavelength,r,g,b\n400,1,2\n"
+        with pytest.raises(VoraFilterError) as parse_error:
+            parse_spectral_csv(bad, expected_channels=3)
+        path.write_text(bad, encoding="utf-8")
+        # A failure is never kept: each call reads and fails again.
+        for _ in range(2):
+            assert main(["evaluate", "--camera", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {path}: {parse_error.value}\n")
+        path.write_text(_camera_text(1001), encoding="utf-8")
+        assert self.evaluate(capsys, "--camera", str(path)) == good
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        assert main(["check", "--trials", "0"]) == 0
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(parser, *args, **kwargs):
+            added.append(args)
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        for argv in (["check", "--trials", "0"], ["evaluate"], ["optimize", "--max-iters", "1"]):
+            assert main(argv) == 0
+        assert added == []
+        assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--json"], ["optimize", "--basis", "identity:8"],
+                                  ["check", "--trials", "1", "--json"],
+                                  ["optimize", "--method", "newton", "--json"]])
 def test_module_entry_point_is_main(capsys, argv):
-    # ``python -m vorafilter.cli`` prints what main prints and exits with its code.
+    # ``python -m vorafilter.cli`` prints what main prints and exits with its
+    # code. The subprocess starts cold; both calls in this process after it
+    # run on the process's one parser and its kept tables.
     import vorafilter
     src = str(Path(vorafilter.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     run = subprocess.run([sys.executable, "-m", "vorafilter.cli", *argv], env=env,
                          capture_output=True, text=True, timeout=60)
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)
+    for _ in range(2):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)
