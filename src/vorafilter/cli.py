@@ -355,19 +355,21 @@ def run_identity_checks(camera: SensorSet, observer: SensorSet, seed: int,
 
         g_norm = float(np.linalg.norm(g)) or 1.0
         f_norm = float(np.linalg.norm(f))
+        h0f = h0 @ f
+        fhf, ff = float(f @ h0f), float(f @ f)
         alpha = 1e-4
         step = newton_step(camera, observer, filt, alpha)
-        closed = np.linalg.solve(h0 + alpha * np.eye(grid.count),
-                                 (h0 - alpha * np.eye(grid.count)) @ f)
+        # The residual of (h0 + alpha I) s = (h0 - alpha I) f: no n x n solve.
+        rhs = h0f - alpha * f
+        residual = h0 @ step + alpha * step - rhs
         tiny = newton_step(camera, observer, filt, 1e-12)
         trial = {
             "gradient_vs_fd": _rel_err(g, g_fd),
             "hessian_vs_fd": _rel_err(h0, h_fd),
             "orthogonality": abs(float(f @ g)) / (f_norm * g_norm),
-            "hessian_gradient": float(np.max(np.abs(g + h0 @ f))),
-            "positive_definite": max(abs(float(f @ ((h0 + a * np.eye(grid.count)) @ f))
-                                         - a * float(f @ f)) for a in _PD_ALPHAS),
-            "newton_closed_form": float(np.linalg.norm(step - closed) / np.linalg.norm(step)),
+            "hessian_gradient": float(np.max(np.abs(g + h0f))),
+            "positive_definite": max(abs(fhf + a * ff - a * ff) for a in _PD_ALPHAS),
+            "newton_closed_form": float(np.linalg.norm(residual) / np.linalg.norm(rhs)),
             "newton_degeneracy": 1.0 - float(tiny @ f / (np.linalg.norm(tiny) * f_norm)),
         }
         errors = {name: max(errors[name], trial[name]) for name in errors}

@@ -72,6 +72,7 @@ built on, and a rank-deficient start filter or trial raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -385,7 +386,7 @@ class _RunState:
         """Rescale into the gauge, then clip into the box. The peak is
         positive: so is a start filter, and a trial (never a NaN step) keeps
         at least one row of the iterate as it is."""
-        f = np.clip(values * (1.0 / values.max()), self.floor, 1.0)
+        f = np.minimum(np.maximum(values * (1.0 / values.max()), self.floor), 1.0)
         return f, f
 
     def _gauge_coeffs(self, coeffs: NDArray[np.float64]) -> _Gauged | None:
@@ -456,14 +457,16 @@ class _RunState:
         free = ~frozen
         if free.all():
             free[np.argmax(self.f)] = False
-        d, u, grad = d[free], u[free], g[free]
-        lo, hi = self.floor - self.f[free], 1.0 - self.f[free]
+        d, grad, f_free = d[free], g[free], self.f[free]
+        lo, hi = self.floor - f_free, 1.0 - f_free
         precond = _preconditioner(d)
 
-        def hess(p: NDArray[np.float64]) -> NDArray[np.float64]:
-            return d * p + u @ (u.T @ p)
-
         if cfg.method == "newton":
+            u = u[free]
+
+            def hess(p: NDArray[np.float64]) -> NDArray[np.float64]:
+                return d * p + u @ (u.T @ p)
+
             peak = _model_peak(d, u, grad)
             peak_norm = np.inf if peak is None else float(np.linalg.norm(peak))
 
@@ -472,11 +475,13 @@ class _RunState:
                     return peak
                 return _truncated_cg(hess, grad, precond, radius)
         else:
+            hess = d.__mul__  # grad's U has no columns: U U^T p adds exact zeros
             model_step = _cauchy_step(grad, d, precond)
 
         def solve(radius: float) -> tuple[NDArray[np.float64], float]:
-            s = np.clip(model_step(radius), lo, hi)
-            step = np.zeros_like(self.x)
+            # np.clip's values, without its wrapper: the bounds are not NaN.
+            s = np.minimum(np.maximum(model_step(radius), lo), hi)
+            step = np.zeros(free.size)
             step[free] = s
             return step, float(grad @ s + 0.5 * (s @ hess(s)))
 
@@ -560,11 +565,12 @@ class _RunState:
         objective: commit its iterate, filter, basis and value, and return
         (gain, step_len, rejected trials). None, with the state unchanged,
         if there is none."""
-        x_norm = float(np.linalg.norm(self.x))
+        # The 2-norms as np.linalg.norm forms them for a 1-D float64.
+        x_norm = math.sqrt(self.x.dot(self.x))
         radius = self.radius * x_norm
         for rejected in range(_MAX_BACKTRACKS):
             step, predicted = solve(radius)
-            step_len = float(np.linalg.norm(step))
+            step_len = math.sqrt(step.dot(step))
             if step_len == 0.0:  # the radius shrinks to 0: every later step is 0
                 break
             # A step the model does not expect to gain is rejected untried.
@@ -609,7 +615,7 @@ def optimize(camera: SensorSet, observer: SensorSet,
 
     for it in range(1, cfg.max_iters + 1):
         steer, solve = state.trust_subproblem()
-        grad_norm = float(np.max(np.abs(steer)))
+        grad_norm = float(np.abs(steer).max())
         if it == 1:
             rows.append(IterationRecord(0, state.value, state.mu(), 0.0, grad_norm, 0))
         if grad_norm < cfg.tol_grad:

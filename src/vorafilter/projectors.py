@@ -104,8 +104,10 @@ def orthonormal_columns(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     # sensor data from being declared full rank on the strength of pure
     # round-off.
     tol = max(m.shape[-2:]) * _FLOAT.eps * 1e3
-    # One matrix indexed by a bool is a stack of one or of none.
-    doubtful = r[_needs_svd(r, tol)]
+    needs_svd = _needs_svd(r, tol)
+    if needs_svd is False:  # one matrix, cleared
+        return q
+    doubtful = r[needs_svd]  # one matrix indexed by True is a stack of one
     if len(doubtful):
         # The bound never clears a non-finite R.
         if not np.isfinite(doubtful).all():

@@ -68,8 +68,10 @@ def _vora_of_bases(w: NDArray[np.float64],
                    v: NDArray[np.float64]) -> float | NDArray[np.float64]:
     """Value from orthonormal bases of the camera-like and observer spaces;
     a stack of bases ``w`` (..., n, 3) gives the array of their values."""
-    values = np.sum((w.swapaxes(-1, -2) @ v) ** 2, axis=(-2, -1)) / 3.0
-    return float(values) if w.ndim == 2 else values
+    m = w.swapaxes(-1, -2) @ v
+    if w.ndim == 2:  # the one reduction over all 9 entries, without np.sum's wrapper
+        return float((m * m).sum()) / 3.0
+    return np.sum(m ** 2, axis=(-2, -1)) / 3.0
 
 
 def vora_value(camera: SensorSet, observer: SensorSet) -> VoraValue:

@@ -109,6 +109,19 @@ def sabotage_gradient(monkeypatch) -> None:
     monkeypatch.setattr(cli, "gradient", sabotaged)
 
 
+def sabotage_newton_step(monkeypatch) -> None:
+    """Make ``vorafilter check`` see every Newton step scaled by ``1 + 1e-6``:
+    the negative control ``newton_closed_form`` must fail."""
+    import vorafilter.cli as cli
+
+    exact = cli.newton_step
+
+    def sabotaged(camera, observer, filt, alpha):
+        return exact(camera, observer, filt, alpha) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(cli, "newton_step", sabotaged)
+
+
 @pytest.fixture(scope="session")
 def pinned_runs(camera, observer):
     """Optimization runs on the pinned instance, shared across test modules.

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cie_csv_text, make_random_camera
+from conftest import (cie_csv_text, make_random_camera, sabotage_gradient,
+                      sabotage_newton_step)
 from vorafilter import (
     DEFAULT_GRID,
     FilterSpectrum,
@@ -32,6 +33,7 @@ from vorafilter import (
 )
 from vorafilter import cli
 from vorafilter.cli import (
+    CHECK_TOLERANCES,
     DEFAULT_CAMERA_FILE,
     DEFAULT_OBSERVER_FILE,
     _load_sensors,
@@ -540,6 +542,42 @@ class TestCheck:
         assert code == 0
         assert payload["pass"] is True
         assert errors["gradient_vs_fd"] < 5e-8
+
+    @pytest.mark.parametrize("grid", ["400:10:31", "400:0.5:601"])
+    @pytest.mark.parametrize("sabotage, failing", [
+        (sabotage_gradient, {"gradient_vs_fd", "orthogonality", "hessian_gradient"}),
+        (sabotage_newton_step, {"newton_closed_form"}),
+    ], ids=["gradient", "newton_step"])
+    def test_negative_controls_exit_4(self, monkeypatch, capsys, grid, sabotage, failing):
+        sabotage(monkeypatch)
+        code = main(["check", "--grid", grid, "--trials", "1", "--json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert code == 4
+        assert failing <= {c["identity"] for c in payload["checks"] if not c["pass"]}
+
+    def test_identities_form_no_n_by_n_identity_or_solve(self, monkeypatch):
+        # The closed form is checked by its residual and the quadratic forms
+        # by f.h0 f: only the 9 x 9 Woodbury capacitance is solved, and only
+        # the FD oracle's probes f +- h e_i are rows of an n-wide identity.
+        grid = WavelengthGrid(400.0, 5.0, 61)
+        camera = _load_sensors(None, DEFAULT_CAMERA_FILE, grid)
+        observer = _load_sensors(None, DEFAULT_OBSERVER_FILE, grid)
+        calls = []
+
+        def recording(name, call):
+            def record(*args, **kwargs):
+                shape = np.shape(args[0]) if name == "solve" else args[:2]
+                calls.append((sys._getframe(1).f_code.co_name, name, shape))
+                return call(*args, **kwargs)
+            return record
+
+        monkeypatch.setattr(np, "eye", recording("eye", np.eye))
+        monkeypatch.setattr(np.linalg, "solve", recording("solve", np.linalg.solve))
+        errors = run_identity_checks(camera, observer, 0, 1)
+        assert all(errors[name] < tol for name, tol in CHECK_TOLERANCES.items())
+        assert {(caller, name) for caller, name, shape in calls
+                if grid.count in shape} == {("fd_gradient", "eye")}
+        assert ("_woodbury", "solve", (9, 9)) in calls
 
     def test_negative_trials_exits_2(self, capsys, camera, observer):
         code = main(["check", "--trials", "-1"])

@@ -450,6 +450,17 @@ def _report_digest(report) -> str:
     return digest.hexdigest()
 
 
+def _pinned_run(method, camera, observer, basis, config):
+    """A digest row's run; ``config`` may name a random camera by its seed."""
+    from conftest import make_random_camera
+    config = dict(config)
+    if "camera" in config:
+        camera = make_random_camera(config.pop("camera"))
+    if basis is not None:
+        config["basis"] = make_basis(*basis, DEFAULT_GRID)
+    return optimize(camera, observer, OptimizerConfig(method=method, **config))
+
+
 class TestSpectralModel:
     """``grad`` models with ``sigma D`` where the Barzilai-Borwein scalar
     ``sigma``, in the metric of ``D = _preconditioner(d)``, is negative, and
@@ -572,15 +583,27 @@ class TestSpectralModel:
         # again when interior steps became one Woodbury solve. They hold for
         # the float64 rounding of x86-64 numpy with OpenBLAS; another BLAS
         # may round differently.
-        from conftest import make_random_camera
-        config = dict(config)
-        if "camera" in config:
-            camera = make_random_camera(config.pop("camera"))
-        if basis is not None:
-            config["basis"] = make_basis(*basis, DEFAULT_GRID)
-        report = optimize(camera, observer, OptimizerConfig(method="newton", **config))
+        report = _pinned_run("newton", camera, observer, basis, config)
         assert _report_digest(report) == digest
         assert report.termination == "converged_grad"
+
+    @pytest.mark.parametrize("basis, config, steps, digest", [
+        (None, {}, 132,
+         "9c10826e1723703e5db83199f15f9e684e9b08820dbdcf9d64b468cae8cc14e8"),
+        (None, {"camera": 1001, "tau_min": 0.3, "init": "random", "seed": 5}, 31,
+         "2e18f180a266e7e7d9bc05a1a4c798640ed411f2efaa00d7b39ba271617643d4"),
+        (("cosine", 8), {}, 128,
+         "66b52fab60353822c4e6601074c0bce025ba3c1fa970db9b5eed94e9b26d5775"),
+        (("cosine", 8), {"camera": 1001, "tau_min": 0.3, "init": "random", "seed": 5}, 40,
+         "1fd9c6acaaa2b2f2f852dd094cb195d1e084221a1c66d41fb48d39ccb2c7bb9c"),
+    ])
+    def test_grad_is_unchanged(self, camera, observer, basis, config, steps, digest):
+        # Pinned with the Barzilai-Borwein model, before the per-trial
+        # overhead of the trust-region loop was cut: every floating-point
+        # operation of a step kept its order. Same BLAS caveat as Newton's.
+        report = _pinned_run("grad", camera, observer, basis, config)
+        assert (report.accepted_steps, report.termination) == (steps, "converged_obj")
+        assert _report_digest(report) == digest
 
 
 class TestOptimizeColorimetric:
